@@ -55,14 +55,24 @@
 //! `speedup` is meaningless there and the two columns are read
 //! side by side.
 //!
+//! The lockstep rows (`bku_lockstep/f64_m3_l{1,4,8}`,
+//! `keyswitch_lockstep/l{1,4,8}`) are typed: `alloc_ns` is one lane
+//! alone and `scratch_ns` is `L` lanes in lockstep, both in nanoseconds
+//! **per lane**, and each row carries its unit, sample count and host
+//! (`cpu`, `nproc`, `simd`).
+//!
 //! Run with:
-//! `cargo run --release -p matcha-bench --bin bench_pbs`
+//! `cargo run --release -p matcha-bench --bin bench_pbs` (every row), or
+//! `cargo run --release -p matcha-bench --bin bench_pbs -- lockstep` to
+//! re-measure only the lockstep rows and merge them into the existing
+//! `BENCH_pbs.json`.
 
 use matcha::fft::{force_simd, simd_detected, ApproxIntFft, F64Fft, Radix4Fft};
+use matcha::tfhe::bku::BundleLane;
 use matcha::tfhe::{EpScratch, Gate, RingSecretKey, TgswCiphertext, TgswSpectrum, TrlweCiphertext};
-use matcha::{ClientKey, FftEngine, ParameterSet, ServerKey, Torus32};
+use matcha::{ClientKey, FftEngine, LweCiphertext, ParameterSet, ServerKey, Torus32};
 use matcha_math::{GadgetDecomposer, IntPolynomial, TorusPolynomial, TorusSampler};
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 /// Median of `samples` timed runs of `f`, in nanoseconds per call.
@@ -943,8 +953,194 @@ fn bench_gate<E: FftEngine>(name: &str, engine: E, unroll: usize) -> Row {
     }
 }
 
+/// A lockstep row: the per-lane cost of one lane alone (`alloc_ns`)
+/// against `L` lanes in lockstep (`scratch_ns`), both in nanoseconds per
+/// lane, each the minimum over `samples` interleaved samples, stamped
+/// with the host that measured it.
+struct LaneRow {
+    id: String,
+    one_lane_ns: f64,
+    lanes_ns: f64,
+    samples: usize,
+}
+
+impl LaneRow {
+    fn json(&self, host: &str) -> String {
+        format!(
+            "{{\"id\": \"{}\", \"alloc_ns\": {:.1}, \"scratch_ns\": {:.1}, \"speedup\": {:.3}, \
+             \"unit\": \"ns per lane\", \"samples\": {}, \"host\": {host}}}",
+            self.id,
+            self.one_lane_ns,
+            self.lanes_ns,
+            self.one_lane_ns / self.lanes_ns,
+            self.samples,
+        )
+    }
+}
+
+/// `{"cpu", "nproc", "simd"}` of the measuring host.
+fn host_json() -> String {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().replace('"', "'"))
+        })
+        .unwrap_or_else(|| "unknown".into());
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let simd = if matcha::fft::simd_active() {
+        "on"
+    } else {
+        "off"
+    };
+    format!("{{\"cpu\": \"{cpu}\", \"nproc\": {nproc}, \"simd\": \"{simd}\"}}")
+}
+
+/// One lane of the bundle-streaming bench: a fixed exponent set per key
+/// group, and the group currently being built.
+struct StreamLane {
+    exponents: Vec<Vec<u32>>,
+    group: usize,
+    bundle: TgswSpectrum<F64Fft>,
+    factors: <F64Fft as FftEngine>::MonomialFactors,
+}
+
+impl BundleLane<F64Fft> for StreamLane {
+    fn bundle_parts(
+        &mut self,
+    ) -> (
+        &[u32],
+        &mut TgswSpectrum<F64Fft>,
+        &mut <F64Fft as FftEngine>::MonomialFactors,
+    ) {
+        (
+            &self.exponents[self.group],
+            &mut self.bundle,
+            &mut self.factors,
+        )
+    }
+}
+
+/// Lockstep evidence at m = 3, `F64Fft`, MATCHA parameters, one thread:
+///
+/// * `bku_lockstep/f64_m3_l{1,4,8}` — the bundle step per lane, streaming
+///   **every** key group in turn as a blind rotation does (the whole
+///   unrolled key, larger than a typical L3), not one cache-resident
+///   group;
+/// * `keyswitch_lockstep/l{1,4,8}` — one key switch per lane.
+///
+/// Each `L`-lane row is sampled interleaved with the one-lane pass.
+fn bench_lockstep() -> Vec<LaneRow> {
+    const SAMPLES: usize = 15;
+    let engine = F64Fft::new(1024);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+    let client = ClientKey::generate(ParameterSet::MATCHA, &mut rng);
+    let kit = matcha::tfhe::BootstrapKit::generate(&client, &engine, 3, &mut rng);
+    let two_n = kit.params().two_n();
+    let bk = kit.bootstrapping_key();
+    let groups = bk.groups();
+    let mut lane = || StreamLane {
+        exponents: groups
+            .iter()
+            .map(|g| (0..g.len()).map(|_| rng.gen::<u32>() % two_n).collect())
+            .collect(),
+        group: 0,
+        bundle: groups[0].keys()[0].clone(),
+        factors: Default::default(),
+    };
+    let mut alone = vec![lane()];
+    let mut lanes: Vec<StreamLane> = (0..8).map(|_| lane()).collect();
+    // Every group in turn, as a blind rotation streams them.
+    let stream = |lanes: &mut [StreamLane]| {
+        for (g, group) in groups.iter().enumerate() {
+            for lane in lanes.iter_mut() {
+                lane.group = g;
+            }
+            bk.build_bundles_into(&engine, group, two_n, lanes);
+        }
+    };
+    let steps = groups.len() as f64;
+
+    let ksk = kit.key_switch_key();
+    let sample = |rng: &mut rand::rngs::StdRng| {
+        let mask = (0..ksk.from_dimension())
+            .map(|_| Torus32::from_raw(rng.gen()))
+            .collect();
+        LweCiphertext::from_parts(mask, Torus32::from_raw(rng.gen()))
+    };
+    let source: Vec<LweCiphertext> = (0..9).map(|_| sample(&mut rng)).collect();
+    let mut outs = vec![LweCiphertext::trivial(Torus32::ZERO, 1); 9];
+    let (first_out, outs) = outs.split_first_mut().expect("nine outputs");
+    let mut single = [(&source[0], first_out)];
+    let mut pairs: Vec<(&LweCiphertext, &mut LweCiphertext)> =
+        source[1..].iter().zip(outs.iter_mut()).collect();
+
+    let mut rows = Vec::new();
+    for l in [1, 4, 8] {
+        let (one, many) = measure_paired(
+            SAMPLES,
+            1,
+            || stream(&mut alone),
+            || stream(&mut lanes[..l]),
+        );
+        rows.push(LaneRow {
+            id: format!("bku_lockstep/f64_m3_l{l}"),
+            one_lane_ns: one / steps,
+            lanes_ns: many / (steps * l as f64),
+            samples: SAMPLES,
+        });
+    }
+    for l in [1, 4, 8] {
+        let (one, many) = measure_paired(
+            2 * SAMPLES + 1,
+            4,
+            || ksk.switch_lockstep_into(&mut single),
+            || ksk.switch_lockstep_into(&mut pairs[..l]),
+        );
+        rows.push(LaneRow {
+            id: format!("keyswitch_lockstep/l{l}"),
+            one_lane_ns: one,
+            lanes_ns: many / l as f64,
+            samples: 2 * SAMPLES + 1,
+        });
+    }
+    rows
+}
+
+/// Replaces (or appends) `rows` in the `BENCH_pbs.json` at `path`, leaving
+/// every other row as it was.
+fn merge_lane_rows(path: &str, rows: &[LaneRow], host: &str) -> std::io::Result<()> {
+    let old = std::fs::read_to_string(path).unwrap_or_default();
+    let ids: Vec<String> = rows
+        .iter()
+        .map(|r| format!("{{\"id\": \"{}\"", r.id))
+        .collect();
+    let mut lines: Vec<String> = old
+        .lines()
+        .map(|l| l.trim().trim_end_matches(',').to_string())
+        .filter(|l| l.starts_with('{') && !ids.iter().any(|id| l.starts_with(id.as_str())))
+        .collect();
+    lines.extend(rows.iter().map(|r| r.json(host)));
+    std::fs::write(path, format!("[\n  {}\n]\n", lines.join(",\n  ")))
+}
+
 fn main() {
     let params = ParameterSet::MATCHA;
+    let host = host_json();
+    if std::env::args().nth(1).as_deref() == Some("lockstep") {
+        let lane_rows = bench_lockstep();
+        for r in &lane_rows {
+            println!("{}", r.json(&host));
+        }
+        if let Err(e) = merge_lane_rows("BENCH_pbs.json", &lane_rows, &host) {
+            eprintln!("error: could not update BENCH_pbs.json: {e}");
+            std::process::exit(1);
+        }
+        println!("\nupdated BENCH_pbs.json");
+        return;
+    }
     println!(
         "simd: {} (AVX2+FMA {})",
         if matcha::fft::simd_active() {
@@ -983,6 +1179,7 @@ fn main() {
     bench_circuit_sched(&mut rows);
     bench_circuit_interleaved(&mut rows);
     bench_adversarial_mix(&mut rows);
+    let lane_rows = bench_lockstep();
 
     println!(
         "{:<32} {:>12} {:>12} {:>9}",
@@ -998,19 +1195,24 @@ fn main() {
         );
     }
 
-    let mut json = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        json.push_str(&format!(
-            "  {{\"id\": \"{}\", \"alloc_ns\": {:.1}, \"scratch_ns\": {:.1}, \"speedup\": {:.3}}}{}\n",
-            r.id,
-            r.alloc_ns,
-            r.scratch_ns,
-            r.speedup(),
-            comma
-        ));
+    for r in &lane_rows {
+        println!("{}", r.json(&host));
     }
-    json.push_str("]\n");
+
+    let lines: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"id\": \"{}\", \"alloc_ns\": {:.1}, \"scratch_ns\": {:.1}, \"speedup\": {:.3}}}",
+                r.id,
+                r.alloc_ns,
+                r.scratch_ns,
+                r.speedup()
+            )
+        })
+        .chain(lane_rows.iter().map(|r| r.json(&host)))
+        .collect();
+    let json = format!("[\n  {}\n]\n", lines.join(",\n  "));
     // Fail loudly: a missing results file must never look like a green run.
     let path = "BENCH_pbs.json";
     if let Err(e) = std::fs::write(path, &json) {

@@ -6,12 +6,16 @@
 //! is the software counterpart, in two forms:
 //!
 //! * [`run_gate_batch`] shards one batch over scoped workers, each holding
-//!   a private [`BootstrapScratch`](crate::scratch::BootstrapScratch) so
-//!   every gate after its first runs allocation-free;
+//!   a private [`BootstrapScratch`] so every gate after its first runs
+//!   allocation-free;
 //! * [`GateBatchPool`] keeps those workers (and their warmed scratches)
 //!   **alive across batches** — the software analogue of MATCHA's eight
 //!   always-resident bootstrapping pipelines, and the fix for the seed
-//!   implementation's spawn-per-call sharding.
+//!   implementation's spawn-per-call sharding. Each worker takes a
+//!   **chunk** of up to [`MAX_LANES`] bootstrap lanes and runs it in
+//!   lockstep ([`SlabTask::apply_lockstep_into`]), streaming every
+//!   bootstrapping-key group and key-switching block once per chunk
+//!   instead of once per gate.
 //!
 //! Pool tasks pass operands **by index** into a shared [`ValueSlab`]
 //! rather than cloning ciphertexts into every task: a [`SlabTask`] binds a
@@ -21,7 +25,7 @@
 //! interleaves every in-flight circuit's ready wave into one batch.
 
 use crate::faults::{FaultAction, FaultPlan};
-use crate::gates::{Gate, ServerKey};
+use crate::gates::{fold_mux, Gate, ServerKey};
 use crate::lwe::LweCiphertext;
 use crate::scratch::BootstrapScratch;
 use matcha_fft::FftEngine;
@@ -177,6 +181,18 @@ impl GateTask {
     }
 }
 
+impl GateTask {
+    /// Bootstrap lanes the task occupies in a lockstep chunk: 1 for a
+    /// binary gate, 2 for a mux, 0 for a free `NOT`.
+    pub fn lanes(&self) -> usize {
+        match self {
+            GateTask::Binary { .. } => 1,
+            GateTask::Mux { .. } => 2,
+            GateTask::Not { .. } => 0,
+        }
+    }
+}
+
 /// One dispatchable task: a by-index [`GateTask`] bound to the slab its
 /// indices refer to, plus the node slot its result is stored at. Batches
 /// may freely mix tasks over *different* slabs — that is how the server
@@ -189,6 +205,80 @@ pub struct SlabTask {
     pub node: usize,
     /// The gate work itself.
     pub task: GateTask,
+}
+
+impl SlabTask {
+    /// Evaluates a chunk of independent tasks **in lockstep** into
+    /// `outs[i]`, one bootstrap lane per binary gate and two per mux: all
+    /// lanes blind-rotate together
+    /// ([`BootstrapKit::blind_rotate_lockstep_assign`](crate::bootstrap::BootstrapKit::blind_rotate_lockstep_assign)),
+    /// so each bootstrapping-key group is streamed once per chunk instead
+    /// of once per bootstrap, and every key switch of the chunk shares one
+    /// walk of the key-switching key. `lanes` grows on demand to the
+    /// chunk's lane count and is reused across chunks, so a warmed call
+    /// allocates nothing. Every output is bit-identical to evaluating its
+    /// task alone with [`GateTask::apply_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `outs` is shorter than `chunk`, or if any task panics
+    /// (a missing or malformed operand) — the whole chunk then has no
+    /// defined output; the pool re-runs such a chunk task by task.
+    pub fn apply_lockstep_into<E: FftEngine>(
+        chunk: &[SlabTask],
+        server: &ServerKey<E>,
+        outs: &mut [LweCiphertext],
+        lanes: &mut Vec<BootstrapScratch<E>>,
+    ) {
+        assert!(outs.len() >= chunk.len(), "one output buffer per task");
+        let heads = chunk.iter().filter(|st| st.task.lanes() > 0).count();
+        let used = chunk.iter().map(|st| st.task.lanes()).sum::<usize>();
+        while lanes.len() < used {
+            lanes.push(server.make_scratch());
+        }
+        // Lanes [0, heads) carry one bootstrap per task and end in its key
+        // switch; each mux's second bootstrap rides in a tail lane after
+        // them.
+        let (head_lanes, tail_lanes) = lanes[..used].split_at_mut(heads);
+        let (mut h, mut t) = (0, 0);
+        for st in chunk {
+            let slab = &st.slab;
+            match st.task {
+                GateTask::Binary { gate, a, b } => {
+                    server.load_lane(gate, slab.get(a), slab.get(b), &mut head_lanes[h]);
+                    h += 1;
+                }
+                GateTask::Mux { sel, a, b } => {
+                    let sel = slab.get(sel);
+                    server.load_lane(Gate::And, sel, slab.get(a), &mut head_lanes[h]);
+                    server.load_lane(Gate::AndNY, sel, slab.get(b), &mut tail_lanes[t]);
+                    h += 1;
+                    t += 1;
+                }
+                GateTask::Not { .. } => {}
+            }
+        }
+        server.bootstrap_lanes(&mut lanes[..used]);
+        let (head_lanes, tail_lanes) = lanes[..used].split_at_mut(heads);
+        let boots = chunk.iter().filter(|st| st.task.lanes() > 0);
+        let muxes = boots
+            .zip(head_lanes.iter_mut())
+            .filter(|(st, _)| st.task.lanes() == 2);
+        for ((_, head), tail) in muxes.zip(tail_lanes.iter()) {
+            fold_mux(&mut head.extracted, &tail.extracted);
+        }
+        server
+            .kit()
+            .key_switch_key()
+            .switch_lockstep_into(head_lanes);
+        let mut switched = lanes.iter().map(|lane| &lane.switched);
+        for (st, out) in chunk.iter().zip(outs.iter_mut()) {
+            match st.task {
+                GateTask::Not { a } => server.not_into(st.slab.get(a), out),
+                _ => out.copy_from(switched.next().expect("one head lane per task")),
+            }
+        }
+    }
 }
 
 /// Per-batch outcome of [`GateBatchPool::run_tasks`]. Successes are not
@@ -333,26 +423,48 @@ where
     finish_batch(outputs, t0, threads)
 }
 
-/// One queued unit of pool work: a by-index task, the slab it reads from
-/// and writes to, and a reply channel. The reply carries `Err(panic
-/// message)` when the task panicked in the worker, so the failure is
-/// reported on the dispatching thread instead of killing the worker; on
-/// `Ok` the result is already stored in `slab[node]`.
+/// Most bootstrap lanes one worker runs in lockstep. Eight lanes of m=3
+/// bundles (≈98 KB each at MATCHA's parameters) plus the ≈688 KB key group
+/// streaming through them fit a 2 MiB L2.
+pub const MAX_LANES: usize = 8;
+
+/// Lanes per chunk for a dispatch of `lanes` bootstrap lanes over
+/// `threads` workers: `⌈lanes / threads⌉`, capped at [`MAX_LANES`] — and,
+/// past the cap, evened out so every worker gets the same number of
+/// chunks.
+fn chunk_lanes(lanes: usize, threads: usize) -> usize {
+    let chunks = lanes
+        .div_ceil(MAX_LANES)
+        .next_multiple_of(threads)
+        .max(threads);
+    lanes.div_ceil(chunks).max(1)
+}
+
+/// The reply end of a dispatch round: `(batch index, result)` per task.
+type Reply = mpsc::Sender<(usize, Result<(), String>)>;
+
+/// One queued unit of pool work: a chunk of by-index tasks the worker
+/// evaluates in lockstep, their batch indices, and a reply channel. Each
+/// task gets its own reply, carrying `Err(panic message)` when it failed,
+/// so a failure is reported on the dispatching thread instead of killing
+/// the worker; on `Ok` the result is already stored in `slab[node]`.
+///
+/// Field order is drop order: the slab handles go before the reply
+/// sender, so once a dispatcher sees its reply channel disconnect, no
+/// worker still holds any of its slabs.
 struct Job {
-    slab: Arc<ValueSlab>,
-    node: usize,
-    task: GateTask,
-    index: usize,
-    reply: mpsc::Sender<(usize, Result<(), String>)>,
+    tasks: Vec<SlabTask>,
+    indices: Vec<usize>,
+    reply: Reply,
 }
 
 /// A persistent gate-evaluation worker pool sharing one [`ServerKey`].
 ///
-/// Workers are spawned once and hold their warmed
-/// [`BootstrapScratch`](crate::scratch::BootstrapScratch) across an
-/// arbitrary number of [`GateBatchPool::run`] calls; jobs are pulled from a
-/// shared queue, so uneven gate latencies balance automatically. Dropping
-/// the pool shuts the workers down.
+/// Workers are spawned once and hold their warmed lane
+/// [`BootstrapScratch`]es across an arbitrary number of
+/// [`GateBatchPool::run`] calls; lockstep chunks are pulled from a shared
+/// queue, so uneven chunk latencies balance automatically. Dropping the
+/// pool shuts the workers down.
 ///
 /// # Examples
 ///
@@ -385,82 +497,184 @@ where
     rx: Arc<Mutex<mpsc::Receiver<Job>>>,
     /// Interior mutability so [`GateBatchPool::heal`] can respawn dead
     /// workers from `&self` (dispatchers hold the pool by shared ref).
+    /// Indexed by worker slot.
     workers: Mutex<Vec<JoinHandle<()>>>,
+    /// Slots of workers that died and are not yet respawned, reported by
+    /// each worker's [`WorkerLife`] guard.
+    deaths: Arc<Mutex<Vec<usize>>>,
     threads: usize,
     server: Arc<ServerKey<E>>,
     faults: Option<Arc<FaultPlan>>,
     restarts: AtomicU64,
 }
 
-/// One persistent worker: pulls jobs off the shared queue, evaluates them
-/// into its warmed scratch, stores results in the job's slab and replies.
-/// Extracted as a free function so [`GateBatchPool::heal`] can respawn a
-/// replacement attached to the same queue.
+/// A worker's life: reports its death — on return and unwind alike —
+/// *before* releasing the job it held, so a dispatcher that sees the job's
+/// reply channel disconnect always finds the death already reported.
+struct WorkerLife {
+    slot: usize,
+    deaths: Arc<Mutex<Vec<usize>>>,
+    /// The chunk being evaluated; dropped after the death report.
+    job: Option<Job>,
+    /// Set when the queue closed: a shutdown, not a death.
+    clean_exit: bool,
+}
+
+impl Drop for WorkerLife {
+    fn drop(&mut self) {
+        if !self.clean_exit {
+            self.deaths
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(self.slot);
+        }
+    }
+}
+
+/// One persistent worker: pulls chunks off the shared queue, evaluates each
+/// in lockstep through its warmed lane scratches, stores results in the
+/// tasks' slabs and replies per task. Extracted as a free function so
+/// [`GateBatchPool::heal`] can respawn a replacement into the same `slot`,
+/// attached to the same queue.
 fn spawn_worker<E>(
+    slot: usize,
     server: Arc<ServerKey<E>>,
     rx: Arc<Mutex<mpsc::Receiver<Job>>>,
     faults: Option<Arc<FaultPlan>>,
+    deaths: Arc<Mutex<Vec<usize>>>,
 ) -> JoinHandle<()>
 where
     E: FftEngine + Send + Sync + 'static,
 {
     std::thread::spawn(move || {
-        let mut scratch = server.make_scratch();
-        let mut out = LweCiphertext::trivial(Torus32::ZERO, server.params().lwe_dimension);
+        let mut life = WorkerLife {
+            slot,
+            deaths,
+            job: None,
+            clean_exit: false,
+        };
+        // Lane scratches grow on demand up to the largest chunk seen.
+        let mut lanes: Vec<BootstrapScratch<E>> = Vec::new();
+        let mut outs: Vec<LweCiphertext> = Vec::new();
         loop {
-            // Hold the lock only to pull the next job. A
-            // poisoned lock is recovered rather than cascaded:
-            // the queue itself is never left in a torn state by
-            // a panicking worker (jobs are popped whole).
+            // Hold the lock only to pull the next job. A poisoned lock is
+            // recovered rather than cascaded: the queue itself is never
+            // left in a torn state by a panicking worker (jobs are popped
+            // whole).
             let job = { rx.lock().unwrap_or_else(PoisonError::into_inner).recv() };
-            let Ok(job) = job else { break };
-            let Job {
-                slab,
-                node,
-                task,
-                index,
-                reply,
-            } = job;
-            // Scripted fault sites, consumed one-shot per (tag, node).
-            let injected = faults.as_ref().and_then(|plan| plan.take(slab.tag(), node));
-            match injected {
-                // Death *outside* the per-task catch_unwind: the thread
-                // exits holding the job, so its reply sender is dropped
-                // unanswered — exactly what a stack overflow or foreign
-                // abort looks like from the dispatcher's side. run_tasks
-                // detects the lost reply, heals the pool and retries.
-                Some(FaultAction::KillWorker) => return,
-                Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-                Some(FaultAction::Panic) | None => {}
+            let Ok(job) = job else {
+                life.clean_exit = true;
+                break;
+            };
+            let job = life.job.insert(job);
+            if !run_job(&server, faults.as_deref(), job, &mut lanes, &mut outs) {
+                // Death outside the per-task isolation: the thread exits
+                // holding the chunk, so its replies are dropped unanswered
+                // — exactly what a stack overflow or foreign abort looks
+                // like from the dispatcher's side. `life` reports the
+                // death; run_tasks heals the pool and retries the chunk.
+                return;
             }
-            // Panic isolation: a malformed job (e.g. a
-            // mismatched-dimension operand) must not kill the
-            // worker or poison anything — the error is shipped
-            // back and reported on the dispatcher's thread,
-            // and this worker keeps serving. The scratch stays
-            // structurally valid across an unwind — every
-            // apply re-sizes its buffers — hence the
-            // AssertUnwindSafe; the one cost is that buffers
-            // mem::take'n by the panicking apply are left
-            // empty, so this worker's next task re-warms them
-            // (a few allocations, correctness unaffected).
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                if matches!(injected, Some(FaultAction::Panic)) {
-                    panic!("injected fault: task for node {node} panicked in its worker");
-                }
-                task.apply_into(&server, &slab, &mut out, &mut scratch);
-                slab.set(node, out.clone());
-            }))
-            .map_err(panic_message);
-            // Drop our slab handle *before* replying: once the
-            // dispatcher has received every reply of a batch,
-            // its own Arc over each slab is unique again.
-            drop(slab);
-            // The receiver may have given up (run() panicked);
-            // dropping the result is then the right behavior.
-            let _ = reply.send((index, result));
+            life.job = None;
         }
     })
+}
+
+/// Runs one chunk. Scripted fault sites are consumed first, one-shot per
+/// `(tag, node)`: a `Panic` fails only its own task, a `Delay` delays only
+/// its own task (it runs alone after the rest of the chunk), and a
+/// `KillWorker` loses the chunk — returns `false`, and the worker dies.
+fn run_job<E: FftEngine>(
+    server: &ServerKey<E>,
+    faults: Option<&FaultPlan>,
+    job: &Job,
+    lanes: &mut Vec<BootstrapScratch<E>>,
+    outs: &mut Vec<LweCiphertext>,
+) -> bool {
+    let Job {
+        tasks,
+        indices,
+        reply,
+    } = job;
+    let Some(plan) = faults else {
+        run_lockstep(server, tasks, indices, reply, lanes, outs);
+        return true;
+    };
+    let (mut clean, mut delayed) = (Vec::new(), Vec::new());
+    for (pos, st) in tasks.iter().enumerate() {
+        match plan.take(st.slab.tag(), st.node) {
+            Some(FaultAction::KillWorker) => return false,
+            Some(FaultAction::Panic) => {
+                let msg = format!(
+                    "injected fault: task for node {} panicked in its worker",
+                    st.node
+                );
+                let _ = reply.send((indices[pos], Err(msg)));
+            }
+            Some(FaultAction::Delay(d)) => delayed.push((pos, d)),
+            None => clean.push(pos),
+        }
+    }
+    let clean_tasks: Vec<SlabTask> = clean.iter().map(|&pos| tasks[pos].clone()).collect();
+    let clean_indices: Vec<usize> = clean.iter().map(|&pos| indices[pos]).collect();
+    run_lockstep(server, &clean_tasks, &clean_indices, reply, lanes, outs);
+    for (pos, d) in delayed {
+        std::thread::sleep(d);
+        run_lockstep(
+            server,
+            &tasks[pos..=pos],
+            &indices[pos..=pos],
+            reply,
+            lanes,
+            outs,
+        );
+    }
+    true
+}
+
+/// Evaluates `tasks` in lockstep, stores each result in its slab and
+/// replies per task. Panic isolation: a genuine panic anywhere in the
+/// chunk (e.g. a mismatched-dimension operand) re-runs its tasks one by
+/// one, each under its own `catch_unwind`, so only the offending task
+/// fails and this worker keeps serving. The lane scratches stay
+/// structurally valid across an unwind — every load re-sizes its buffers
+/// — hence the `AssertUnwindSafe`.
+fn run_lockstep<E: FftEngine>(
+    server: &ServerKey<E>,
+    tasks: &[SlabTask],
+    indices: &[usize],
+    reply: &Reply,
+    lanes: &mut Vec<BootstrapScratch<E>>,
+    outs: &mut Vec<LweCiphertext>,
+) {
+    if tasks.is_empty() {
+        return;
+    }
+    if outs.len() < tasks.len() {
+        let n = server.params().lwe_dimension;
+        outs.resize_with(tasks.len(), || LweCiphertext::trivial(Torus32::ZERO, n));
+    }
+    let whole = catch_unwind(AssertUnwindSafe(|| {
+        SlabTask::apply_lockstep_into(tasks, server, outs, lanes)
+    }));
+    match whole {
+        Ok(()) => {
+            for ((st, out), &index) in tasks.iter().zip(outs.iter()).zip(indices) {
+                let stored = catch_unwind(AssertUnwindSafe(|| st.slab.set(st.node, out.clone())));
+                // The receiver may have given up (run() panicked);
+                // dropping the result is then the right behavior.
+                let _ = reply.send((index, stored.map_err(panic_message)));
+            }
+        }
+        Err(payload) if tasks.len() == 1 => {
+            let _ = reply.send((indices[0], Err(panic_message(payload))));
+        }
+        Err(_) => {
+            for i in 0..tasks.len() {
+                run_lockstep(server, &tasks[i..=i], &indices[i..=i], reply, lanes, outs);
+            }
+        }
+    }
 }
 
 impl<E> GateBatchPool<E>
@@ -492,19 +706,30 @@ where
     fn build(server: Arc<ServerKey<E>>, threads: usize, faults: Option<Arc<FaultPlan>>) -> Self {
         assert!(threads > 0, "need at least one worker");
         let (tx, rx) = mpsc::channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..threads)
-            .map(|_| spawn_worker(Arc::clone(&server), Arc::clone(&rx), faults.clone()))
-            .collect();
-        Self {
+        let mut pool = Self {
             tx: Some(tx),
-            rx,
-            workers: Mutex::new(workers),
+            rx: Arc::new(Mutex::new(rx)),
+            workers: Mutex::new(Vec::with_capacity(threads)),
+            deaths: Arc::default(),
             threads,
             server,
             faults,
             restarts: AtomicU64::new(0),
-        }
+        };
+        let workers = (0..threads).map(|slot| pool.spawn(slot)).collect();
+        pool.workers = Mutex::new(workers);
+        pool
+    }
+
+    /// Spawns the worker for `slot` on the shared queue.
+    fn spawn(&self, slot: usize) -> JoinHandle<()> {
+        spawn_worker(
+            slot,
+            Arc::clone(&self.server),
+            Arc::clone(&self.rx),
+            self.faults.clone(),
+            Arc::clone(&self.deaths),
+        )
     }
 
     /// Worker count.
@@ -518,33 +743,28 @@ where
         self.restarts.load(Ordering::Relaxed)
     }
 
-    /// Self-healing: joins every worker thread that has exited (death
+    /// Self-healing: joins every worker that reported its death (an exit
     /// outside the per-task `catch_unwind` — in production a stack
     /// overflow or foreign abort, in tests [`FaultAction::KillWorker`])
-    /// and respawns a replacement with a fresh scratch on the same job
-    /// queue, so the pool never silently loses capacity. Returns how many
-    /// workers were respawned; each bumps [`GateBatchPool::restarts`].
-    /// Called automatically by [`GateBatchPool::run_tasks`] when a reply
-    /// goes missing; cheap (a `JoinHandle::is_finished` scan) otherwise.
+    /// and respawns a replacement with fresh scratches into its slot on
+    /// the same job queue, so the pool never silently loses capacity.
+    /// Returns how many workers were respawned; each bumps
+    /// [`GateBatchPool::restarts`]. A worker reports its death before it
+    /// releases its chunk, so when [`GateBatchPool::run_tasks`] finds a
+    /// reply missing and calls this, the death is already on record.
+    /// Cheap (one lock) when nothing died.
     pub fn heal(&self) -> usize {
-        let mut workers = self.workers.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut respawned = 0;
-        for slot in workers.iter_mut() {
-            if slot.is_finished() {
-                let dead = std::mem::replace(
-                    slot,
-                    spawn_worker(
-                        Arc::clone(&self.server),
-                        Arc::clone(&self.rx),
-                        self.faults.clone(),
-                    ),
-                );
-                let _ = dead.join();
-                self.restarts.fetch_add(1, Ordering::Relaxed);
-                respawned += 1;
-            }
+        let dead = std::mem::take(&mut *self.deaths.lock().unwrap_or_else(PoisonError::into_inner));
+        if dead.is_empty() {
+            return 0;
         }
-        respawned
+        let mut workers = self.workers.lock().unwrap_or_else(PoisonError::into_inner);
+        for &slot in &dead {
+            let gone = std::mem::replace(&mut workers[slot], self.spawn(slot));
+            let _ = gone.join();
+            self.restarts.fetch_add(1, Ordering::Relaxed);
+        }
+        dead.len()
     }
 
     /// The shared server key the workers evaluate under.
@@ -640,16 +860,19 @@ where
         }
         let mut done = vec![false; tasks.len()];
         let mut failures: Vec<(usize, String)> = Vec::new();
-        self.dispatch_round(tasks, 0..tasks.len(), &mut done, &mut failures);
-        // An index with no reply lost its job inside a dying worker (the
-        // job — and its reply sender — were dropped unanswered). Heal the
-        // pool and retry those tasks once: a scripted KillWorker was
+        let all: Vec<usize> = (0..tasks.len()).collect();
+        self.dispatch_round(tasks, &all, &mut done, &mut failures);
+        // An index with no reply lost its chunk inside a dying worker (the
+        // job — and its reply sender — were dropped unanswered). The dead
+        // worker reported itself before releasing the job, so heal()
+        // respawns it before the retry round. Retry those tasks once: a
+        // scripted KillWorker was
         // consumed when it fired, so the retry runs clean, and a genuine
         // repeat offender is reported instead of retried forever.
         let missing: Vec<usize> = (0..tasks.len()).filter(|&i| !done[i]).collect();
         if !missing.is_empty() {
             self.heal();
-            self.dispatch_round(tasks, missing.into_iter(), &mut done, &mut failures);
+            self.dispatch_round(tasks, &missing, &mut done, &mut failures);
             for index in (0..tasks.len()).filter(|&i| !done[i]) {
                 failures.push((
                     index,
@@ -665,34 +888,50 @@ where
         }
     }
 
-    /// Sends the tasks at `indices` and drains their replies until every
-    /// job of this round is accounted for: answered, or dropped by a dying
-    /// worker (each job holds a reply sender, so the reply channel
-    /// disconnects exactly when no job of the round is queued or running
-    /// any more). The timeout arm covers the one case disconnection cannot:
-    /// every worker dead with jobs still sitting in the queue — those
-    /// queued jobs keep the reply channel open forever, so a quiet stretch
-    /// triggers a heal, which is a cheap `is_finished` scan when nothing
-    /// died and restarts the drain when something did.
+    /// Sends the tasks at `indices` as lockstep chunks of at most
+    /// [`chunk_lanes`] bootstrap lanes each (tasks in batch order, a mux
+    /// never split) and drains their replies until every job of this round
+    /// is accounted for: answered, or dropped by a dying worker (each job
+    /// holds a reply sender, so the reply channel disconnects exactly when
+    /// no job of the round is queued or running any more). The timeout arm
+    /// covers the one case disconnection cannot: every worker dead with
+    /// jobs still sitting in the queue — those queued jobs keep the reply
+    /// channel open forever, so a quiet stretch triggers a heal, which is
+    /// one lock when nothing died and restarts the drain when something
+    /// did.
     fn dispatch_round(
         &self,
         tasks: &[SlabTask],
-        indices: impl Iterator<Item = usize>,
+        indices: &[usize],
         done: &mut [bool],
         failures: &mut Vec<(usize, String)>,
     ) {
         let (reply_tx, reply_rx) = mpsc::channel();
         let tx = self.tx.as_ref().expect("pool is live");
-        for index in indices {
-            let st = &tasks[index];
+        let budget = chunk_lanes(
+            indices.iter().map(|&i| tasks[i].task.lanes()).sum(),
+            self.threads,
+        );
+        let mut start = 0;
+        while start < indices.len() {
+            let mut end = start;
+            let mut lanes = 0;
+            while end < indices.len() {
+                let more = tasks[indices[end]].task.lanes();
+                if end > start && lanes + more > budget {
+                    break;
+                }
+                lanes += more;
+                end += 1;
+            }
+            let chunk = &indices[start..end];
             tx.send(Job {
-                slab: Arc::clone(&st.slab),
-                node: st.node,
-                task: st.task,
-                index,
+                tasks: chunk.iter().map(|&i| tasks[i].clone()).collect(),
+                indices: chunk.to_vec(),
                 reply: reply_tx.clone(),
             })
             .expect("pool holds the queue receiver, sends cannot fail");
+            start = end;
         }
         drop(reply_tx);
         loop {
@@ -1038,6 +1277,25 @@ mod tests {
     }
 
     #[test]
+    fn chunk_lanes_split_evenly_under_the_cap() {
+        // Up to threads·MAX_LANES lanes: ⌈lanes / threads⌉ per chunk.
+        assert_eq!(chunk_lanes(3, 2), 2);
+        assert_eq!(chunk_lanes(16, 2), MAX_LANES);
+        assert_eq!(chunk_lanes(5, 1), 5);
+        // Past the cap: every worker gets the same number of chunks.
+        assert_eq!(chunk_lanes(24, 2), 6);
+        assert_eq!(chunk_lanes(17, 2), 5);
+        assert_eq!(chunk_lanes(100, 1), 8);
+        // A NOT-only dispatch still forms chunks.
+        assert_eq!(chunk_lanes(0, 2), 1);
+        for lanes in 0..64 {
+            for threads in 1..5 {
+                assert!((1..=MAX_LANES).contains(&chunk_lanes(lanes, threads)));
+            }
+        }
+    }
+
+    #[test]
     fn slab_set_twice_is_rejected() {
         let slab = ValueSlab::new(2);
         assert_eq!(slab.len(), 2);
@@ -1149,6 +1407,46 @@ mod tests {
         }
         drop(pool);
         assert_eq!(Arc::strong_count(&server), 1, "healed workers join too");
+    }
+
+    #[test]
+    fn worker_death_in_a_chunk_restores_the_full_pool() {
+        // A death inside a multi-task chunk is an event, not a poll: the
+        // dying worker reports itself before its chunk's replies drop, so
+        // by the time the dispatcher sees them missing, heal() joins and
+        // replaces exactly that worker — the retry round and every later
+        // dispatch run on a full pool, with no timeout involved. Repeated
+        // on fresh pools to leave a race nowhere to hide.
+        let mut rng = StdRng::seed_from_u64(99);
+        let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
+        let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
+        let (plain, enc) = inputs(&client, &mut rng, 6);
+        for _ in 0..5 {
+            let (slab, batch) = staged_and_batch(&enc);
+            // Six lanes over two workers: two chunks of three; the kill
+            // lands mid-chunk.
+            let plan =
+                Arc::new(FaultPlan::new().inject(0, 2 * enc.len() + 1, FaultAction::KillWorker));
+            let pool = GateBatchPool::with_faults(Arc::clone(&server), 2, Arc::clone(&plan));
+            let result = pool.run_tasks(&batch);
+            assert!(result.failures.is_empty(), "{:?}", result.failures);
+            assert!(plan.is_spent(), "the death fired");
+            assert_eq!(pool.restarts(), 1, "the dead worker was replaced");
+            {
+                let workers = pool.workers.lock().unwrap();
+                assert_eq!(workers.len(), 2);
+                assert!(
+                    workers.iter().all(|w| !w.is_finished()),
+                    "pool back to full size"
+                );
+                assert!(pool.deaths.lock().unwrap().is_empty());
+            }
+            for (i, (a, b)) in plain.iter().enumerate() {
+                assert_eq!(client.decrypt(slab.get(2 * enc.len() + i)), a & b);
+            }
+        }
+        drop(enc);
+        assert_eq!(Arc::strong_count(&server), 1, "replacements join too");
     }
 
     #[test]

@@ -184,17 +184,9 @@ impl<E: FftEngine> UnrolledBootstrappingKey<E> {
         })
     }
 
-    /// [`Self::build_bundle`] into a caller-owned bundle — the
-    /// zero-allocation form, with two structural optimizations over the
-    /// allocating path:
-    ///
-    /// * the factor table `ε^e − 1` is computed **once per pattern** and
-    ///   shared across all `2ℓ` rows (the allocating path recomputes it
-    ///   `2·2ℓ` times per pattern), and
-    /// * each row's mask/body pair is updated in one fused pass.
-    ///
-    /// Both changes are exact reorderings: the result is bit-identical to
-    /// [`Self::build_bundle`].
+    /// [`Self::build_bundle`] into a caller-owned bundle — the one-lane
+    /// case of [`Self::build_bundles_into`], bit-identical to
+    /// [`Self::build_bundle`] and allocation-free.
     ///
     /// # Panics
     ///
@@ -209,35 +201,89 @@ impl<E: FftEngine> UnrolledBootstrappingKey<E> {
         bundle: &mut TgswSpectrum<E>,
         factors: &mut E::MonomialFactors,
     ) {
-        assert_eq!(
-            exponents.len(),
-            group.len,
-            "one exponent per grouped secret bit"
-        );
-        assert_eq!(
-            bundle.rows().len(),
-            self.h.rows().len(),
-            "bundle buffer has the wrong row count"
-        );
+        self.build_bundles_into(engine, group, two_n, &mut [(exponents, bundle, factors)]);
+    }
+
+    /// Builds one bundle per lane for the same key group in lockstep: each
+    /// pattern key is read **once** and scaled into every lane's bundle,
+    /// so a chunk of `L` bootstraps streams the group's `2^m − 1` keys
+    /// once instead of `L` times (the software form of MATCHA's bundle
+    /// streaming, paper §4.3). Two structural choices over the allocating
+    /// path, both exact reorderings:
+    ///
+    /// * each lane's factor table `ε^e − 1` is computed **once per
+    ///   pattern** and shared across all `2ℓ` rows, and
+    /// * each row's mask/body pair is updated in one fused pass.
+    ///
+    /// Within a lane, every coefficient accumulates its pattern terms in
+    /// ascending pattern order, exactly as [`Self::build_bundle`] does, so
+    /// every lane is bit-identical to building its bundle alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a lane's exponent count differs from the group length or
+    /// a bundle buffer has the wrong shape.
+    pub fn build_bundles_into<L: BundleLane<E>>(
+        &self,
+        engine: &E,
+        group: &KeyGroup<E>,
+        two_n: u32,
+        lanes: &mut [L],
+    ) {
         profile::timed(Phase::TgswScale, || {
-            let rows = bundle.rows_mut();
-            for (row, h_row) in rows.iter_mut().zip(self.h.rows().iter()) {
-                engine.bundle_accumulator_into(&h_row.a, &mut row.a);
-                engine.bundle_accumulator_into(&h_row.b, &mut row.b);
+            for lane in lanes.iter_mut() {
+                let (exponents, bundle, _) = lane.bundle_parts();
+                assert_eq!(
+                    exponents.len(),
+                    group.len,
+                    "one exponent per grouped secret bit"
+                );
+                assert_eq!(
+                    bundle.rows().len(),
+                    self.h.rows().len(),
+                    "bundle buffer has the wrong row count"
+                );
+                for (row, h_row) in bundle.rows_mut().iter_mut().zip(self.h.rows()) {
+                    engine.bundle_accumulator_into(&h_row.a, &mut row.a);
+                    engine.bundle_accumulator_into(&h_row.b, &mut row.b);
+                }
             }
             for pattern in 1u32..(1 << group.len) {
-                let Some(e) = pattern_exponent(pattern, exponents, two_n) else {
-                    continue;
-                };
-                engine.monomial_minus_one_into(e, factors);
+                for lane in lanes.iter_mut() {
+                    let (exponents, _, factors) = lane.bundle_parts();
+                    if let Some(e) = pattern_exponent(pattern, exponents, two_n) {
+                        engine.monomial_minus_one_into(e, factors);
+                    }
+                }
                 let key = &group.keys[pattern as usize - 1];
-                for (row, key_row) in rows.iter_mut().zip(key.rows().iter()) {
-                    engine.scale_accumulate_pair(
-                        &mut row.a, &mut row.b, &key_row.a, &key_row.b, factors,
-                    );
+                for (r, key_row) in key.rows().iter().enumerate() {
+                    for lane in lanes.iter_mut() {
+                        let (exponents, bundle, factors) = lane.bundle_parts();
+                        if pattern_exponent(pattern, exponents, two_n).is_none() {
+                            continue;
+                        }
+                        let row = &mut bundle.rows_mut()[r];
+                        engine.scale_accumulate_pair(
+                            &mut row.a, &mut row.b, &key_row.a, &key_row.b, factors,
+                        );
+                    }
                 }
             }
         })
+    }
+}
+
+/// One lane of [`UnrolledBootstrappingKey::build_bundles_into`]: the key
+/// group's mod-switched exponents in, a bundle buffer and its factor-table
+/// workspace out.
+pub trait BundleLane<E: FftEngine> {
+    /// `(exponents, bundle, factors)`, borrowed together.
+    fn bundle_parts(&mut self) -> (&[u32], &mut TgswSpectrum<E>, &mut E::MonomialFactors);
+}
+
+impl<E: FftEngine> BundleLane<E> for (&[u32], &mut TgswSpectrum<E>, &mut E::MonomialFactors) {
+    fn bundle_parts(&mut self) -> (&[u32], &mut TgswSpectrum<E>, &mut E::MonomialFactors) {
+        (self.0, &mut *self.1, &mut *self.2)
     }
 }
 

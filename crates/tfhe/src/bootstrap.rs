@@ -145,7 +145,8 @@ impl<E: FftEngine> BootstrapKit<E> {
 
     /// Blind rotation through the scratch: reads the test vector from
     /// `scratch.test_vector_mut()` and leaves `TRLWE(X^{b̄ − ⟨ā, s⟩}·testv)`
-    /// in `scratch.accumulator()`. Bit-identical to
+    /// in `scratch.accumulator()` — the one-lane case of
+    /// [`BootstrapKit::blind_rotate_lockstep_assign`]. Bit-identical to
     /// [`BootstrapKit::blind_rotate`]; zero allocations once warmed.
     pub fn blind_rotate_assign(
         &self,
@@ -153,51 +154,55 @@ impl<E: FftEngine> BootstrapKit<E> {
         input: &LweCiphertext,
         scratch: &mut BootstrapScratch<E>,
     ) {
-        let two_n = self.params.two_n();
-        let b_bar = mod_switch_from_torus(input.body(), two_n);
-        let BootstrapScratch {
-            ep,
-            bundle,
-            factors,
-            acc,
-            testv,
-            exponents,
-            ..
-        } = scratch;
-        profile::timed(Phase::Other, || {
-            acc.mask_mut().fill_zero();
-            acc.body_mut().rotate_from(testv, b_bar as i64);
-        });
-        let mask = input.mask();
-        let mut index = 0;
-        for group in self.bk.groups() {
-            exponents.clear();
-            exponents.extend(
-                mask[index..index + group.len()]
-                    .iter()
-                    .map(|&a| mod_switch_from_torus(a, two_n)),
-            );
-            index += group.len();
-            self.bk
-                .build_bundle_into(engine, group, exponents, two_n, bundle, factors);
-            bundle.external_product_assign(engine, acc, &self.decomp, ep);
-        }
+        profile::timed(Phase::Other, || scratch.input.copy_from(input));
+        self.blind_rotate_lockstep_assign(engine, std::slice::from_mut(scratch));
     }
 
-    /// [`BootstrapKit::bootstrap_to_extracted`] into a caller-owned output
-    /// through the scratch — zero allocations once warmed.
-    pub fn bootstrap_to_extracted_into(
-        &self,
-        engine: &E,
-        input: &LweCiphertext,
-        mu: Torus32,
-        out: &mut LweCiphertext,
-        scratch: &mut BootstrapScratch<E>,
-    ) {
-        // All-(−μ) test vector, as in `bootstrap_to_extracted`.
-        scratch.testv.coeffs_mut().fill(-mu);
-        self.blind_rotate_assign(engine, input, scratch);
-        profile::timed(Phase::Other, || scratch.acc.sample_extract_into(out));
+    /// Blind-rotates every lane in lockstep: each lane rotates its test
+    /// vector (`test_vector_mut`) by the phase of its input sample
+    /// (`input_mut`) and leaves the result in its `accumulator`. The lanes
+    /// advance group by group — one lockstep bundle build
+    /// ([`UnrolledBootstrappingKey::build_bundles_into`]), which streams
+    /// each pattern key once for all lanes, then one external product per
+    /// lane — so every lane is bit-identical to rotating alone. The first
+    /// lane's external-product workspace serves every lane in turn.
+    pub fn blind_rotate_lockstep_assign(&self, engine: &E, lanes: &mut [BootstrapScratch<E>]) {
+        if lanes.is_empty() {
+            return;
+        }
+        let two_n = self.params.two_n();
+        profile::timed(Phase::Other, || {
+            for lane in lanes.iter_mut() {
+                let b_bar = mod_switch_from_torus(lane.input.body(), two_n);
+                lane.acc.mask_mut().fill_zero();
+                lane.acc.body_mut().rotate_from(&lane.testv, b_bar as i64);
+            }
+        });
+        let mut index = 0;
+        for group in self.bk.groups() {
+            for lane in lanes.iter_mut() {
+                let BootstrapScratch {
+                    input, exponents, ..
+                } = lane;
+                exponents.clear();
+                exponents.extend(
+                    input.mask()[index..index + group.len()]
+                        .iter()
+                        .map(|&a| mod_switch_from_torus(a, two_n)),
+                );
+            }
+            index += group.len();
+            self.bk.build_bundles_into(engine, group, two_n, lanes);
+            let (first, rest) = lanes.split_first_mut().expect("at least one lane");
+            let BootstrapScratch {
+                ep, bundle, acc, ..
+            } = first;
+            bundle.external_product_assign(engine, acc, &self.decomp, ep);
+            for lane in rest {
+                lane.bundle
+                    .external_product_assign(engine, &mut lane.acc, &self.decomp, ep);
+            }
+        }
     }
 
     /// [`BootstrapKit::bootstrap`] into a caller-owned output through the
@@ -211,11 +216,13 @@ impl<E: FftEngine> BootstrapKit<E> {
         out: &mut LweCiphertext,
         scratch: &mut BootstrapScratch<E>,
     ) {
-        // Split borrow: extract into `scratch.extracted`, then key-switch.
-        let mut extracted = std::mem::take(&mut scratch.extracted);
-        self.bootstrap_to_extracted_into(engine, input, mu, &mut extracted, scratch);
-        self.ksk.switch_into(&extracted, out);
-        scratch.extracted = extracted;
+        // All-(−μ) test vector, as in `bootstrap_to_extracted`.
+        scratch.testv.coeffs_mut().fill(-mu);
+        self.blind_rotate_assign(engine, input, scratch);
+        profile::timed(Phase::Other, || {
+            scratch.acc.sample_extract_into(&mut scratch.extracted)
+        });
+        self.ksk.switch_into(&scratch.extracted, out);
     }
 }
 

@@ -10,6 +10,7 @@ use crate::bootstrap::BootstrapKit;
 use crate::lwe::LweCiphertext;
 use crate::params::ParameterSet;
 use crate::profile::{self, Phase};
+use crate::scratch::BootstrapScratch;
 use crate::secret::ClientKey;
 use matcha_fft::FftEngine;
 use matcha_math::Torus32;
@@ -239,7 +240,7 @@ impl<E: FftEngine> ServerKey<E> {
     }
 
     /// Builds a reusable workspace for [`ServerKey::apply_into`].
-    pub fn make_scratch(&self) -> crate::scratch::BootstrapScratch<E> {
+    pub fn make_scratch(&self) -> BootstrapScratch<E> {
         self.kit.make_scratch(&self.engine)
     }
 
@@ -253,13 +254,38 @@ impl<E: FftEngine> ServerKey<E> {
         a: &LweCiphertext,
         b: &LweCiphertext,
         out: &mut LweCiphertext,
-        scratch: &mut crate::scratch::BootstrapScratch<E>,
+        scratch: &mut BootstrapScratch<E>,
     ) {
-        let mut lin = std::mem::take(&mut scratch.lin);
-        self.linear_part_into(gate, a, b, &mut lin);
+        self.load_lane(gate, a, b, scratch);
+        self.bootstrap_lanes(std::slice::from_mut(scratch));
         self.kit
-            .bootstrap_into(&self.engine, &lin, GATE_MU, out, scratch);
-        scratch.lin = lin;
+            .key_switch_key()
+            .switch_into(&scratch.extracted, out);
+    }
+
+    /// Loads one bootstrap lane with `gate`'s linear part over `a`, `b`
+    /// and the gate test vector.
+    pub(crate) fn load_lane(
+        &self,
+        gate: Gate,
+        a: &LweCiphertext,
+        b: &LweCiphertext,
+        lane: &mut BootstrapScratch<E>,
+    ) {
+        self.linear_part_into(gate, a, b, &mut lane.input);
+        // All-(−μ) test vector, as in `bootstrap_to_extracted`.
+        lane.testv.coeffs_mut().fill(-GATE_MU);
+    }
+
+    /// Bootstraps every loaded lane in lockstep, leaving each lane's
+    /// result under the extracted key in its `extracted` sample.
+    pub(crate) fn bootstrap_lanes(&self, lanes: &mut [BootstrapScratch<E>]) {
+        self.kit.blind_rotate_lockstep_assign(&self.engine, lanes);
+        profile::timed(Phase::Other, || {
+            for lane in lanes.iter_mut() {
+                lane.acc.sample_extract_into(&mut lane.extracted);
+            }
+        });
     }
 
     /// Logical AND.
@@ -336,28 +362,30 @@ impl<E: FftEngine> ServerKey<E> {
         a: &LweCiphertext,
         b: &LweCiphertext,
         out: &mut LweCiphertext,
-        scratch: &mut crate::scratch::BootstrapScratch<E>,
+        scratch: &mut BootstrapScratch<E>,
     ) {
-        let mut lin = std::mem::take(&mut scratch.lin);
-        let mut u1 = std::mem::take(&mut scratch.extracted);
-        let mut u2 = std::mem::take(&mut scratch.extracted2);
         // u1 = AND(sel, a), u2 = AND(¬sel, b) — both under the extracted key.
-        self.linear_part_into(Gate::And, sel, a, &mut lin);
+        self.load_lane(Gate::And, sel, a, scratch);
+        self.bootstrap_lanes(std::slice::from_mut(scratch));
+        std::mem::swap(&mut scratch.extracted, &mut scratch.extracted2);
+        self.load_lane(Gate::AndNY, sel, b, scratch);
+        self.bootstrap_lanes(std::slice::from_mut(scratch));
+        // u2 + u1 + (0, 1/8): wrapping adds commute, so this is
+        // bit-identical to the allocating `mux`'s u1 + u2 + (0, 1/8).
+        fold_mux(&mut scratch.extracted, &scratch.extracted2);
         self.kit
-            .bootstrap_to_extracted_into(&self.engine, &lin, GATE_MU, &mut u1, scratch);
-        self.linear_part_into(Gate::AndNY, sel, b, &mut lin);
-        self.kit
-            .bootstrap_to_extracted_into(&self.engine, &lin, GATE_MU, &mut u2, scratch);
-        // u1 + u2 + (0, 1/8): same wrapping adds as the allocating `mux`.
-        profile::timed(Phase::Other, || {
-            u1.add_assign(&u2);
-            u1.add_body(EIGHTH);
-        });
-        self.kit.key_switch_key().switch_into(&u1, out);
-        scratch.lin = lin;
-        scratch.extracted = u1;
-        scratch.extracted2 = u2;
+            .key_switch_key()
+            .switch_into(&scratch.extracted, out);
     }
+}
+
+/// The mux recombination `u1 ← u1 + u2 + (0, 1/8)` under the extracted
+/// key, ahead of the mux's single key switch.
+pub(crate) fn fold_mux(u1: &mut LweCiphertext, u2: &LweCiphertext) {
+    profile::timed(Phase::Other, || {
+        u1.add_assign(u2);
+        u1.add_body(EIGHTH);
+    });
 }
 
 #[cfg(test)]

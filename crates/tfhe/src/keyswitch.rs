@@ -108,40 +108,73 @@ impl KeySwitchKey {
         out
     }
 
-    /// [`KeySwitchKey::switch`] into a caller-owned output — no allocation
-    /// once `out`'s mask has capacity `n`.
+    /// [`KeySwitchKey::switch`] into a caller-owned output — the one-lane
+    /// case of [`KeySwitchKey::switch_lockstep_into`]; no allocation once
+    /// `out`'s mask has capacity `n`.
     ///
     /// # Panics
     ///
     /// Panics if `c`'s dimension does not match the source key.
     pub fn switch_into(&self, c: &LweCiphertext, out: &mut LweCiphertext) {
-        profile::timed(Phase::KeySwitch, || self.switch_inner(c, out))
+        self.switch_lockstep_into(&mut [(c, out)]);
     }
 
-    fn switch_inner(&self, c: &LweCiphertext, out: &mut LweCiphertext) {
-        assert_eq!(c.dimension(), self.from_dimension, "dimension mismatch");
-        let base = 1u32 << self.base_log;
-        let mask = base - 1;
-        let per_i = self.levels * (base as usize - 1);
-        // Round each coefficient to t·γ bits before decomposing.
-        let precision_bits = self.base_log * self.levels as u32;
-        let round_bump = if precision_bits < 32 {
-            1u32 << (31 - precision_bits)
-        } else {
-            0
-        };
-        out.assign_trivial(c.body(), self.to_dimension);
-        for (i, &ai) in c.mask().iter().enumerate() {
-            let t = ai.raw().wrapping_add(round_bump);
-            for j in 0..self.levels {
-                let shift = 32 - (j as u32 + 1) * self.base_log;
-                let digit = (t >> shift) & mask;
-                if digit != 0 {
-                    let idx = i * per_i + j * (base as usize - 1) + (digit as usize - 1);
-                    out.sub_assign(&self.entries[idx]);
+    /// Switches every lane's source sample into its output, walking each
+    /// `(i, j)` block of the key **once** for all lanes, so a chunk of `L`
+    /// key switches streams the `N·t·(2^γ − 1)`-sample key once instead of
+    /// `L` times. Every lane subtracts the same entries in the same order
+    /// as a switch on its own, so the outputs are bit-identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a lane's source dimension does not match the source key.
+    pub fn switch_lockstep_into<L: SwitchLane>(&self, lanes: &mut [L]) {
+        if lanes.is_empty() {
+            return;
+        }
+        profile::timed(Phase::KeySwitch, || {
+            for lane in lanes.iter_mut() {
+                let (c, out) = lane.switch_parts();
+                assert_eq!(c.dimension(), self.from_dimension, "dimension mismatch");
+                out.assign_trivial(c.body(), self.to_dimension);
+            }
+            let base = 1u32 << self.base_log;
+            let mask = base - 1;
+            let block = base as usize - 1;
+            // Round each coefficient to t·γ bits before decomposing.
+            let precision_bits = self.base_log * self.levels as u32;
+            let round_bump = if precision_bits < 32 {
+                1u32 << (31 - precision_bits)
+            } else {
+                0
+            };
+            for (i, level_blocks) in self.entries.chunks_exact(self.levels * block).enumerate() {
+                for (j, entries) in level_blocks.chunks_exact(block).enumerate() {
+                    let shift = 32 - (j as u32 + 1) * self.base_log;
+                    for lane in lanes.iter_mut() {
+                        let (c, out) = lane.switch_parts();
+                        let t = c.mask()[i].raw().wrapping_add(round_bump);
+                        let digit = (t >> shift) & mask;
+                        if digit != 0 {
+                            out.sub_assign(&entries[digit as usize - 1]);
+                        }
+                    }
                 }
             }
-        }
+        })
+    }
+}
+
+/// One lane of [`KeySwitchKey::switch_lockstep_into`]: a sample under the
+/// source key in, its switched output out.
+pub trait SwitchLane {
+    /// `(source, output)`, borrowed together.
+    fn switch_parts(&mut self) -> (&LweCiphertext, &mut LweCiphertext);
+}
+
+impl SwitchLane for (&LweCiphertext, &mut LweCiphertext) {
+    fn switch_parts(&mut self) -> (&LweCiphertext, &mut LweCiphertext) {
+        (self.0, &mut *self.1)
     }
 }
 

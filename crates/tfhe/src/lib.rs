@@ -81,7 +81,7 @@ pub use analyze::{
     analyze, lint, simplify, AnalysisPolicy, CostReport, Lint, LintKind, NetlistReport, NoiseModel,
     NoiseReport, OutputNoise, Severity, SimplifyReport,
 };
-pub use batch::{DispatchResult, GateBatchPool, GateTask, SlabTask, ValueSlab};
+pub use batch::{DispatchResult, GateBatchPool, GateTask, SlabTask, ValueSlab, MAX_LANES};
 pub use bku::UnrolledBootstrappingKey;
 pub use bootstrap::BootstrapKit;
 pub use circuit::{CircuitFrontier, CircuitNetlist, CircuitRun, GateOp};

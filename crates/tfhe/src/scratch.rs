@@ -14,6 +14,8 @@
 //! [`BootstrapKit::make_scratch`](crate::bootstrap::BootstrapKit::make_scratch)
 //! or their `new` constructors.
 
+use crate::bku::BundleLane;
+use crate::keyswitch::SwitchLane;
 use crate::params::ParameterSet;
 use crate::tgsw::TgswSpectrum;
 use crate::tlwe::TrlweCiphertext;
@@ -75,8 +77,11 @@ pub struct BootstrapScratch<E: FftEngine> {
     /// (crate::gates::ServerKey::mux_into) holds both of its bootstrap
     /// outputs live at once.
     pub(crate) extracted2: LweCiphertext,
-    /// Gate linear-part buffer (dimension `n`).
-    pub(crate) lin: LweCiphertext,
+    /// Bootstrap input (dimension `n`): the gate's linear part, or the
+    /// sample a raw blind rotation reads its phase from.
+    pub(crate) input: LweCiphertext,
+    /// Key-switch output of a lockstep lane (dimension `n`).
+    pub(crate) switched: LweCiphertext,
 }
 
 impl<E: FftEngine> BootstrapScratch<E> {
@@ -99,7 +104,8 @@ impl<E: FftEngine> BootstrapScratch<E> {
             exponents: Vec::with_capacity(8),
             extracted: LweCiphertext::trivial(matcha_math::Torus32::ZERO, n),
             extracted2: LweCiphertext::trivial(matcha_math::Torus32::ZERO, n),
-            lin: LweCiphertext::trivial(matcha_math::Torus32::ZERO, params.lwe_dimension),
+            input: LweCiphertext::trivial(matcha_math::Torus32::ZERO, params.lwe_dimension),
+            switched: LweCiphertext::trivial(matcha_math::Torus32::ZERO, params.lwe_dimension),
         }
     }
 
@@ -110,6 +116,13 @@ impl<E: FftEngine> BootstrapScratch<E> {
         &mut self.testv
     }
 
+    /// The input sample a
+    /// [`blind_rotate_lockstep_assign`](crate::bootstrap::BootstrapKit::blind_rotate_lockstep_assign)
+    /// lane reads its phase from.
+    pub fn input_mut(&mut self) -> &mut LweCiphertext {
+        &mut self.input
+    }
+
     /// The blind-rotation accumulator holding the last rotation result.
     pub fn accumulator(&self) -> &TrlweCiphertext {
         &self.acc
@@ -118,5 +131,21 @@ impl<E: FftEngine> BootstrapScratch<E> {
     /// The external-product workspace (for composing custom pipelines).
     pub fn ep_mut(&mut self) -> &mut EpScratch<E> {
         &mut self.ep
+    }
+}
+
+/// A lockstep bootstrap lane builds its bundle from its own exponents into
+/// its own bundle buffer.
+impl<E: FftEngine> BundleLane<E> for BootstrapScratch<E> {
+    fn bundle_parts(&mut self) -> (&[u32], &mut TgswSpectrum<E>, &mut E::MonomialFactors) {
+        (&self.exponents, &mut self.bundle, &mut self.factors)
+    }
+}
+
+/// A lockstep lane key-switches its extracted sample into its `switched`
+/// output.
+impl<E: FftEngine> SwitchLane for BootstrapScratch<E> {
+    fn switch_parts(&mut self) -> (&LweCiphertext, &mut LweCiphertext) {
+        (&self.extracted, &mut self.switched)
     }
 }

@@ -247,3 +247,56 @@ fn warmed_full_gate_allocates_only_for_outputs() {
     let delta = allocations() - before;
     assert_eq!(delta, 0, "warmed gate evaluation allocated {delta} times");
 }
+
+#[test]
+fn warmed_lockstep_chunk_allocates_nothing() {
+    // The pool's worker evaluates chunks of tasks in lockstep through a
+    // growing set of lane scratches. Once a chunk shape has warmed them —
+    // here 4 lanes: binary gate, mux (two lanes), binary gate — the whole
+    // chunk (lockstep bundles, blind rotations, mux fold, lockstep key
+    // switch) allocates nothing.
+    use matcha_tfhe::{GateTask, SlabTask, ValueSlab};
+    use std::sync::Arc;
+    let mut rng = StdRng::seed_from_u64(80);
+    let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
+    let server = ServerKey::with_unrolling(&client, F64Fft::new(256), 3, &mut rng);
+    let slab = ValueSlab::new(2);
+    slab.set(0, client.encrypt_with(true, &mut rng));
+    slab.set(1, client.encrypt_with(false, &mut rng));
+    let slab = Arc::new(slab);
+    let chunk: Vec<SlabTask> = [
+        GateTask::Binary {
+            gate: Gate::Nand,
+            a: 0,
+            b: 1,
+        },
+        GateTask::Mux { sel: 0, a: 1, b: 0 },
+        GateTask::Binary {
+            gate: Gate::Xor,
+            a: 0,
+            b: 1,
+        },
+    ]
+    .into_iter()
+    .map(|task| SlabTask {
+        slab: Arc::clone(&slab),
+        node: 0,
+        task,
+    })
+    .collect();
+    let mut outs = vec![matcha_tfhe::LweCiphertext::trivial(Torus32::ZERO, 1); chunk.len()];
+    let mut lanes = Vec::new();
+    for _ in 0..2 {
+        SlabTask::apply_lockstep_into(&chunk, &server, &mut outs, &mut lanes);
+    }
+    assert_eq!(lanes.len(), 4);
+
+    let before = allocations();
+    SlabTask::apply_lockstep_into(&chunk, &server, &mut outs, &mut lanes);
+    let delta = allocations() - before;
+    assert_eq!(delta, 0, "warmed 4-lane chunk allocated {delta} times");
+    let expected = [true, false, true];
+    for (out, want) in outs.iter().zip(expected) {
+        assert_eq!(client.decrypt(out), want);
+    }
+}
