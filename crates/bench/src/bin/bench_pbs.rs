@@ -61,11 +61,18 @@
 //! **per lane**, and each row carries its unit, sample count and host
 //! (`cpu`, `nproc`, `simd`).
 //!
+//! The `approx_kernels/*_{scalar,avx512}` rows are typed too: one
+//! `ApproxIntFft` kernel (N = 1024, β = 38) on one leg, in nanoseconds per
+//! call, with `min`/`median`/`p90` over `samples` interleaved samples and
+//! the host (`value` is the median).
+//!
 //! Run with:
-//! `cargo run --release -p matcha-bench --bin bench_pbs` (every row), or
+//! `cargo run --release -p matcha-bench --bin bench_pbs` (every row),
 //! `cargo run --release -p matcha-bench --bin bench_pbs -- lockstep` to
-//! re-measure only the lockstep rows and merge them into the existing
-//! `BENCH_pbs.json`.
+//! re-measure only the lockstep rows, or
+//! `cargo run --release -p matcha-bench --bin bench_pbs -- approx` to
+//! re-measure only the `approx_kernels/*` rows and `nand/approx38_m2`;
+//! both subcommands merge their rows into the existing `BENCH_pbs.json`.
 
 use matcha::fft::{force_simd, simd_detected, ApproxIntFft, F64Fft, Radix4Fft};
 use matcha::tfhe::bku::BundleLane;
@@ -128,6 +135,16 @@ struct Row {
 impl Row {
     fn speedup(&self) -> f64 {
         self.alloc_ns / self.scratch_ns
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{\"id\": \"{}\", \"alloc_ns\": {:.1}, \"scratch_ns\": {:.1}, \"speedup\": {:.3}}}",
+            self.id,
+            self.alloc_ns,
+            self.scratch_ns,
+            self.speedup()
+        )
     }
 }
 
@@ -1109,37 +1126,173 @@ fn bench_lockstep() -> Vec<LaneRow> {
     rows
 }
 
-/// Replaces (or appends) `rows` in the `BENCH_pbs.json` at `path`, leaving
-/// every other row as it was.
-fn merge_lane_rows(path: &str, rows: &[LaneRow], host: &str) -> std::io::Result<()> {
+/// A typed kernel row: one `ApproxIntFft` kernel on one leg, with the
+/// per-call times of every sample.
+struct KernelRow {
+    id: String,
+    samples_ns: Vec<f64>,
+}
+
+impl KernelRow {
+    fn json(&self, host: &str) -> String {
+        let mut t = self.samples_ns.clone();
+        t.sort_by(f64::total_cmp);
+        let at = |q: f64| t[((t.len() - 1) as f64 * q).round() as usize];
+        format!(
+            "{{\"id\": \"{}\", \"layer\": \"fft\", \"unit\": \"ns per call\", \
+             \"value\": {:.1}, \"min\": {:.1}, \"median\": {:.1}, \"p90\": {:.1}, \
+             \"samples\": {}, \"host\": {host}}}",
+            self.id,
+            at(0.5),
+            t[0],
+            at(0.5),
+            at(0.9),
+            t.len(),
+        )
+    }
+}
+
+/// `ApproxIntFft` kernels at the paper's size (N = 1024, β = 38, MATCHA's
+/// ℓ = 3 gadget), scalar leg against AVX-512F leg: each sample times
+/// `ITERS` calls on one leg, then on the other (toggled with `force_simd`),
+/// so drift hits both alike. Both legs share buffers, which is sound
+/// because they compute bit-identical results. On hosts without AVX-512F
+/// only the scalar rows are written.
+///
+/// * `forward_torus` — fold, twist and forward butterflies of a torus
+///   polynomial;
+/// * `forward_decomposed` — the same for one gadget-digit level, digits
+///   extracted in the fold;
+/// * `backward` — bit-reversing copy, inverse butterflies, untwist,
+///   descale and `mod 2^32` truncation;
+/// * `mul_acc_pair` — the external product's pointwise pair update;
+/// * `scale_acc_pair` — the bundle's TGSW-scale pair update.
+fn bench_approx_kernels() -> Vec<KernelRow> {
+    const SAMPLES: usize = 21;
+    const ITERS: u32 = 50;
+    let engine = ApproxIntFft::new(1024, 38);
+    let n = engine.ring_degree();
+    let decomp = GadgetDecomposer::new(10, 3);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+    let mut torus =
+        || TorusPolynomial::from_coeffs((0..n).map(|_| Torus32::from_raw(rng.gen())).collect());
+    let (p, p2) = (torus(), torus());
+    let ft = engine.forward_torus(&p);
+    let ft2 = engine.forward_torus(&p2);
+    let mut fd = engine.zero_spectrum();
+    let mut scratch = engine.make_scratch();
+    engine.forward_decomposed_into(&p, &decomp, 1, &mut fd, &mut scratch);
+    let factors = engine.monomial_minus_one(13);
+    let mut out = engine.zero_spectrum();
+    let mut poly = TorusPolynomial::zero(n);
+    let (mut acc_a, mut acc_b) = (engine.zero_spectrum(), engine.zero_spectrum());
+    let (mut bundle_a, mut bundle_b) = (
+        engine.bundle_accumulator(&ft),
+        engine.bundle_accumulator(&ft2),
+    );
+
+    let legs: &[(&str, bool)] = if matcha::fft::avx512_detected() {
+        &[("scalar", false), ("avx512", true)]
+    } else {
+        &[("scalar", false)]
+    };
+    let mut rows = Vec::new();
+    let mut time = |name: &str, f: &mut dyn FnMut()| {
+        let mut samples = vec![Vec::new(); legs.len()];
+        for _ in 0..SAMPLES {
+            for (leg, &(_, on)) in samples.iter_mut().zip(legs) {
+                force_simd(Some(on));
+                let t0 = Instant::now();
+                for _ in 0..ITERS {
+                    f();
+                }
+                leg.push(t0.elapsed().as_secs_f64() * 1e9 / f64::from(ITERS));
+            }
+        }
+        force_simd(None);
+        for ((leg, _), samples_ns) in legs.iter().zip(samples) {
+            rows.push(KernelRow {
+                id: format!("approx_kernels/{name}_{leg}"),
+                samples_ns,
+            });
+        }
+    };
+    time("forward_torus", &mut || {
+        engine.forward_torus_into(&p, &mut out, &mut scratch);
+        std::hint::black_box(&out);
+    });
+    time("forward_decomposed", &mut || {
+        engine.forward_decomposed_into(&p, &decomp, 1, &mut out, &mut scratch);
+        std::hint::black_box(&out);
+    });
+    time("backward", &mut || {
+        engine.backward_torus_into(&ft, &mut poly, &mut scratch);
+        std::hint::black_box(&poly);
+    });
+    time("mul_acc_pair", &mut || {
+        engine.mul_accumulate_pair(&mut acc_a, &mut acc_b, &fd, &ft, &ft2);
+        std::hint::black_box((&acc_a, &acc_b));
+    });
+    time("scale_acc_pair", &mut || {
+        engine.scale_accumulate_pair(&mut bundle_a, &mut bundle_b, &ft, &ft2, &factors);
+        std::hint::black_box((&bundle_a, &bundle_b));
+    });
+    rows
+}
+
+/// Replaces (or appends) the `(id, json)` rows in the `BENCH_pbs.json` at
+/// `path`, leaving every other row as it was.
+fn merge_rows(path: &str, rows: &[(String, String)]) -> std::io::Result<()> {
     let old = std::fs::read_to_string(path).unwrap_or_default();
     let ids: Vec<String> = rows
         .iter()
-        .map(|r| format!("{{\"id\": \"{}\"", r.id))
+        .map(|(id, _)| format!("{{\"id\": \"{id}\""))
         .collect();
     let mut lines: Vec<String> = old
         .lines()
         .map(|l| l.trim().trim_end_matches(',').to_string())
         .filter(|l| l.starts_with('{') && !ids.iter().any(|id| l.starts_with(id.as_str())))
         .collect();
-    lines.extend(rows.iter().map(|r| r.json(host)));
+    lines.extend(rows.iter().map(|(_, json)| json.clone()));
     std::fs::write(path, format!("[\n  {}\n]\n", lines.join(",\n  ")))
+}
+
+/// Prints `rows` and merges them into `BENCH_pbs.json`, exiting nonzero
+/// when the file cannot be written.
+fn print_and_merge(rows: &[(String, String)]) {
+    for (_, json) in rows {
+        println!("{json}");
+    }
+    if let Err(e) = merge_rows("BENCH_pbs.json", rows) {
+        eprintln!("error: could not update BENCH_pbs.json: {e}");
+        std::process::exit(1);
+    }
+    println!("\nupdated BENCH_pbs.json");
 }
 
 fn main() {
     let params = ParameterSet::MATCHA;
     let host = host_json();
-    if std::env::args().nth(1).as_deref() == Some("lockstep") {
-        let lane_rows = bench_lockstep();
-        for r in &lane_rows {
-            println!("{}", r.json(&host));
+    match std::env::args().nth(1).as_deref() {
+        Some("lockstep") => {
+            let rows: Vec<(String, String)> = bench_lockstep()
+                .iter()
+                .map(|r| (r.id.clone(), r.json(&host)))
+                .collect();
+            print_and_merge(&rows);
+            return;
         }
-        if let Err(e) = merge_lane_rows("BENCH_pbs.json", &lane_rows, &host) {
-            eprintln!("error: could not update BENCH_pbs.json: {e}");
-            std::process::exit(1);
+        Some("approx") => {
+            let gate = bench_gate("approx38_m2", ApproxIntFft::new(1024, 38), 2);
+            let rows: Vec<(String, String)> = bench_approx_kernels()
+                .iter()
+                .map(|r| (r.id.clone(), r.json(&host)))
+                .chain(std::iter::once((gate.id.clone(), gate.json())))
+                .collect();
+            print_and_merge(&rows);
+            return;
         }
-        println!("\nupdated BENCH_pbs.json");
-        return;
+        _ => {}
     }
     println!(
         "simd: {} (AVX2+FMA {})",
@@ -1160,7 +1313,6 @@ fn main() {
         bench_simd_forward("f64", &F64Fft::new(1024)),
         bench_simd_forward("radix4", &Radix4Fft::new(1024)),
         bench_simd_forward("depth_first", &matcha::DepthFirstFft::new(1024)),
-        bench_simd_forward("approx38", &ApproxIntFft::new(1024, 38)),
         bench_simd_external_product("f64_m2", &F64Fft::new(1024), 2),
         bench_fused_external_product("f64_m1", &F64Fft::new(1024), 1),
         bench_fused_external_product("f64_m2", &F64Fft::new(1024), 2),
@@ -1180,6 +1332,7 @@ fn main() {
     bench_circuit_interleaved(&mut rows);
     bench_adversarial_mix(&mut rows);
     let lane_rows = bench_lockstep();
+    let kernel_rows = bench_approx_kernels();
 
     println!(
         "{:<32} {:>12} {:>12} {:>9}",
@@ -1198,19 +1351,15 @@ fn main() {
     for r in &lane_rows {
         println!("{}", r.json(&host));
     }
+    for r in &kernel_rows {
+        println!("{}", r.json(&host));
+    }
 
     let lines: Vec<String> = rows
         .iter()
-        .map(|r| {
-            format!(
-                "{{\"id\": \"{}\", \"alloc_ns\": {:.1}, \"scratch_ns\": {:.1}, \"speedup\": {:.3}}}",
-                r.id,
-                r.alloc_ns,
-                r.scratch_ns,
-                r.speedup()
-            )
-        })
+        .map(Row::json)
         .chain(lane_rows.iter().map(|r| r.json(&host)))
+        .chain(kernel_rows.iter().map(|r| r.json(&host)))
         .collect();
     let json = format!("[\n  {}\n]\n", lines.join(",\n  "));
     // Fail loudly: a missing results file must never look like a green run.

@@ -19,11 +19,16 @@
 //! * the inverse transform halves after every stage, realizing the `1/M`
 //!   normalization with one rounding shift per stage;
 //! * the final reduction mod `2^32` is an exact two's-complement truncation.
+//!
+//! Rotations are stored as structure-of-arrays tables (numerators `t`, `s`
+//! and a negation mask per twiddle), so identity, negation and general
+//! rotations run the same branch-free lifting on both kernel legs.
 
 use crate::engine::{FftEngine, Spectrum};
 use crate::lifting::LiftingRotation;
-use crate::tables::bit_reverse_permute_pair;
-use matcha_math::{IntPolynomial, Torus32, TorusPolynomial};
+use crate::simd::{self, FoldInput, Lifts};
+use crate::tables::{bit_reverse_copy_pair, bit_reverse_permute_pair};
+use matcha_math::{IntPolynomial, TorusPolynomial};
 
 /// Largest digit magnitude [`ApproxIntFft::forward_int`] accepts.
 pub const MAX_DIGIT: i64 = 1 << 10;
@@ -65,53 +70,91 @@ pub struct FixedScratch {
     im: Vec<i64>,
 }
 
-/// One direction's lifting rotations in per-stage contiguous layout (the
-/// integer-engine mirror of [`crate::tables::StageTwiddles`]): stage `s`
-/// serves butterflies of length `len = 2^{s+1}` and stores the `len/2`
-/// rotations by `±2πk/len` back to back, so the butterfly loop reads its
-/// stage with unit stride instead of the stride-`M/len` walk over one big
-/// table.
+/// Pointwise factors `ε_k^e − 1` of the TGSW-scale path, quantized to
+/// [`MONO_FRAC_BITS`] fractional bits and stored split like the spectra
+/// they scale.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct FixedFactors {
+    /// Real parts.
+    pub re: Vec<i32>,
+    /// Imaginary parts.
+    pub im: Vec<i32>,
+}
+
+/// One direction's lifting rotations in structure-of-arrays layout: the
+/// dyadic numerators `t`, `s` and the negation mask of each rotation (see
+/// [`LiftingRotation::lifting_coeffs`]). The butterfly stages come first —
+/// stage `len = 2^{s+1}` stores its `len/2` rotations by `±2πk/len` back
+/// to back, so the butterfly loop reads it with unit stride — followed by
+/// the `M` (un)twist rotations `±πj/N`.
 #[derive(Clone, Debug)]
-struct LiftingStages {
-    /// All stages back to back (`M − 1` entries).
-    flat: Vec<LiftingRotation>,
-    /// `offsets[s]` = start of the stage for `len = 2^{s+1}`.
+struct LiftingTable {
+    t: Vec<i64>,
+    s: Vec<i64>,
+    neg: Vec<i64>,
+    /// `offsets[s]` = start of the stage for `len = 2^{s+1}`; the last
+    /// entry is the start of the twist.
     offsets: Vec<usize>,
     /// Transform size `M`.
     m: usize,
+    beta: u32,
 }
 
-impl LiftingStages {
-    /// Copies per-stage slices out of the full table
-    /// (`full[k]` = rotation by `±2πk/M`, `k < M/2`), so every entry is
-    /// bit-identical to the strided access it replaces.
-    fn from_full(full: &[LiftingRotation], m: usize) -> Self {
-        debug_assert_eq!(full.len(), m / 2);
-        let mut flat = Vec::with_capacity(m.saturating_sub(1));
+impl LiftingTable {
+    /// The table for ring degree `n` at `beta` bits; `sign = 1.0` gives the
+    /// forward direction, `-1.0` the inverse.
+    fn new(n: usize, beta: u32, sign: f64) -> Self {
+        let m = n / 2;
+        let (tau, pi) = (sign * std::f64::consts::TAU, sign * std::f64::consts::PI);
+        let mut angles = Vec::with_capacity(2 * m);
         let mut offsets = Vec::new();
         let mut len = 2;
         while len <= m {
-            offsets.push(flat.len());
+            offsets.push(angles.len());
             let step = m / len;
-            flat.extend((0..len / 2).map(|k| full[k * step]));
+            angles.extend((0..len / 2).map(|k| tau * (k * step) as f64 / m as f64));
             len *= 2;
         }
-        Self { flat, offsets, m }
+        offsets.push(angles.len());
+        angles.extend((0..m).map(|j| pi * j as f64 / n as f64));
+        let (mut t, mut s, mut neg) = (Vec::new(), Vec::new(), Vec::new());
+        for theta in angles {
+            let (tk, sk, nk) = LiftingRotation::from_angle(theta, beta).lifting_coeffs();
+            t.push(tk);
+            s.push(sk);
+            neg.push(nk);
+        }
+        Self {
+            t,
+            s,
+            neg,
+            offsets,
+            m,
+            beta,
+        }
     }
 
-    /// The contiguous rotation slice for butterflies of length `len`.
+    fn slice(&self, start: usize, len: usize) -> Lifts<'_> {
+        let r = start..start + len;
+        Lifts::new(
+            &self.t[r.clone()],
+            &self.s[r.clone()],
+            &self.neg[r],
+            self.beta,
+        )
+    }
+
+    /// The contiguous rotations for butterflies of length `len`.
     #[inline]
-    fn stage(&self, len: usize) -> &[LiftingRotation] {
+    fn stage(&self, len: usize) -> Lifts<'_> {
         debug_assert!(len.is_power_of_two() && len >= 2 && len <= self.m);
-        let s = len.trailing_zeros() as usize - 1;
-        let start = self.offsets[s];
-        &self.flat[start..start + len / 2]
+        self.slice(self.offsets[len.trailing_zeros() as usize - 1], len / 2)
     }
 
-    /// The full-size table (the last stage).
+    /// The `M` (un)twist rotations.
     #[inline]
-    fn full(&self) -> &[LiftingRotation] {
-        self.stage(self.m)
+    fn twist(&self) -> Lifts<'_> {
+        self.slice(self.offsets[self.offsets.len() - 1], self.m)
     }
 }
 
@@ -142,14 +185,12 @@ pub struct ApproxIntFft {
     int_frac_bits: u32,
     /// Fractional pre-scale for torus polynomials.
     torus_frac_bits: u32,
-    /// Rotations by `+2πk/len` per stage, contiguous.
-    fwd_stages: LiftingStages,
-    /// Rotations by `-2πk/len` per stage, contiguous.
-    inv_stages: LiftingStages,
-    /// Twist rotations `+πj/N`, `j < M`.
-    twist: Vec<LiftingRotation>,
-    /// Untwist rotations `-πj/N`.
-    untwist: Vec<LiftingRotation>,
+    /// Forward butterflies (`+2πk/len`) and the twist (`+πj/N`).
+    fwd: LiftingTable,
+    /// Inverse butterflies (`−2πk/len`) and the untwist (`−πj/N`).
+    inv: LiftingTable,
+    /// See [`ApproxIntFft::adder_ops_per_transform`].
+    adder_ops: u64,
 }
 
 impl ApproxIntFft {
@@ -170,20 +211,20 @@ impl ApproxIntFft {
             "twiddle_bits {twiddle_bits} outside supported range 4..=62"
         );
         let m = n / 2;
-        let tau = std::f64::consts::TAU;
-        let pi = std::f64::consts::PI;
-        let fwd_twiddles: Vec<LiftingRotation> = (0..m / 2)
-            .map(|k| LiftingRotation::from_angle(tau * k as f64 / m as f64, twiddle_bits))
+        // Each stage performs M/2 rotations; approximate with the mean cost
+        // over the full twiddle table plus 2 butterfly adds per butterfly.
+        let full: Vec<LiftingRotation> = (0..m / 2)
+            .map(|k| {
+                LiftingRotation::from_angle(
+                    std::f64::consts::TAU * k as f64 / m as f64,
+                    twiddle_bits,
+                )
+            })
             .collect();
-        let inv_twiddles: Vec<LiftingRotation> = (0..m / 2)
-            .map(|k| LiftingRotation::from_angle(-tau * k as f64 / m as f64, twiddle_bits))
-            .collect();
-        let twist = (0..m)
-            .map(|j| LiftingRotation::from_angle(pi * j as f64 / n as f64, twiddle_bits))
-            .collect();
-        let untwist = (0..m)
-            .map(|j| LiftingRotation::from_angle(-pi * j as f64 / n as f64, twiddle_bits))
-            .collect();
+        let mean_rot =
+            full.iter().map(|r| r.adder_ops() as f64).sum::<f64>() / full.len().max(1) as f64;
+        let stages = m.trailing_zeros() as f64;
+        let adder_ops = ((m / 2) as f64 * stages * (mean_rot + 2.0)) as u64;
         // Leave headroom so forward buffers stay below 2^61·√2: a signed
         // value of `b` bits grows to at most `b + frac + log2(M)` bits.
         let log2m = m.trailing_zeros();
@@ -194,10 +235,9 @@ impl ApproxIntFft {
             twiddle_bits,
             int_frac_bits,
             torus_frac_bits,
-            fwd_stages: LiftingStages::from_full(&fwd_twiddles, m),
-            inv_stages: LiftingStages::from_full(&inv_twiddles, m),
-            twist,
-            untwist,
+            fwd: LiftingTable::new(n, twiddle_bits, 1.0),
+            inv: LiftingTable::new(n, twiddle_bits, -1.0),
+            adder_ops,
         }
     }
 
@@ -209,69 +249,48 @@ impl ApproxIntFft {
     /// Total adder operations one forward transform needs in the shift-add
     /// realization (feeds the accelerator energy model).
     pub fn adder_ops_per_transform(&self) -> u64 {
-        let m = self.n as u64 / 2;
-        let stages = m.trailing_zeros() as u64;
-        // Each stage performs M/2 rotations; approximate with the mean cost
-        // over the full twiddle table plus 2 butterfly adds per butterfly.
-        let full = self.fwd_stages.full();
-        let mean_rot: f64 =
-            full.iter().map(|r| r.adder_ops() as f64).sum::<f64>() / full.len().max(1) as f64;
-        ((m / 2) as f64 * stages as f64 * (mean_rot + 2.0)) as u64
+        self.adder_ops
     }
 
-    /// Stage loops run through the shared [`crate::simd`] kernels: the same
-    /// split-component, unit-stride shape as the f64 engines, though the
-    /// lifting rotations keep these stages scalar (no 64-bit lane multiply
-    /// or arithmetic shift before AVX-512 — see the kernel module docs).
+    /// Forward butterflies on the shared [`crate::simd`] integer kernels.
+    /// On AVX-512F CPUs each stage runs eight butterflies per vector (the
+    /// `len < 16` stages permute whole blocks in registers) and every
+    /// lifting step forms its product exactly from 32-bit limbs; elsewhere
+    /// the scalar `i128` leg runs. Both legs give the same bits, which are
+    /// also those of the shift-add datapath ([`LiftingRotation::apply_shift_add`]).
     fn dft_forward(&self, re: &mut [i64], im: &mut [i64]) {
-        let m = re.len();
-        bit_reverse_pairs(re, im);
-        let mut len = 2;
-        while len <= m {
-            crate::simd::i64_radix2_stage(re, im, self.fwd_stages.stage(len), len);
-            len *= 2;
-        }
+        bit_reverse_permute_pair(re, im);
+        self.stages(&self.fwd, re, im, false);
     }
 
+    /// Inverse butterflies on bit-reversed input, halving every stage
+    /// output: `log2(M)` halvings realize the `1/M` inverse normalization
+    /// without any multiplier.
     fn dft_inverse_halving(&self, re: &mut [i64], im: &mut [i64]) {
-        let m = re.len();
-        bit_reverse_pairs(re, im);
+        self.stages(&self.inv, re, im, true);
+    }
+
+    fn stages(&self, table: &LiftingTable, re: &mut [i64], im: &mut [i64], halve: bool) {
         let mut len = 2;
-        while len <= m {
-            // Halve every stage output: log2(M) halvings realize the 1/M
-            // inverse normalization without any multiplier.
-            crate::simd::i64_radix2_stage_halving(re, im, self.inv_stages.stage(len), len);
+        while len <= re.len() {
+            simd::i64_radix2_stage(re, im, table.stage(len), len, halve);
             len *= 2;
         }
     }
-}
 
-/// Bit-reversal permutation applied to both component arrays coherently.
-fn bit_reverse_pairs(re: &mut [i64], im: &mut [i64]) {
-    debug_assert_eq!(re.len(), im.len());
-    bit_reverse_permute_pair(re, im);
-}
-
-impl ApproxIntFft {
     /// Shared twist-and-prescale fold for the forward transforms.
-    fn fold_into(&self, out: &mut FixedSpectrum, frac_bits: u32, value: impl Fn(usize) -> i64) {
+    fn fold_into(&self, out: &mut FixedSpectrum, src: FoldInput<'_>, frac_bits: u32) {
         let m = self.n / 2;
-        out.re.clear();
-        out.im.clear();
-        out.re.reserve(m);
-        out.im.reserve(m);
-        for j in 0..m {
-            let (x, y) = self.twist[j].apply(value(j) << frac_bits, value(j + m) << frac_bits);
-            out.re.push(x);
-            out.im.push(y);
-        }
+        out.re.resize(m, 0);
+        out.im.resize(m, 0);
+        simd::i64_fold((&mut out.re, &mut out.im), src, frac_bits, self.fwd.twist());
         out.frac_bits = frac_bits;
     }
 }
 
 impl FftEngine for ApproxIntFft {
     type Spectrum = FixedSpectrum;
-    type MonomialFactors = Vec<(i32, i32)>;
+    type MonomialFactors = FixedFactors;
     type Scratch = FixedScratch;
 
     fn ring_degree(&self) -> usize {
@@ -308,8 +327,7 @@ impl FftEngine for ApproxIntFft {
             "digit magnitude {} exceeds supported bound {MAX_DIGIT}",
             p.norm_inf()
         );
-        let c = p.coeffs();
-        self.fold_into(out, self.int_frac_bits, |j| c[j] as i64);
+        self.fold_into(out, FoldInput::Int(p.coeffs()), self.int_frac_bits);
         self.dft_forward(&mut out.re, &mut out.im);
     }
 
@@ -320,8 +338,7 @@ impl FftEngine for ApproxIntFft {
         _scratch: &mut FixedScratch,
     ) {
         debug_assert_eq!(p.len(), self.n);
-        let c = p.coeffs();
-        self.fold_into(out, self.torus_frac_bits, |j| c[j].raw() as i32 as i64);
+        self.fold_into(out, FoldInput::Torus(p.coeffs()), self.torus_frac_bits);
         self.dft_forward(&mut out.re, &mut out.im);
     }
 
@@ -339,10 +356,8 @@ impl FftEngine for ApproxIntFft {
             "digit magnitude bound {} exceeds supported bound {MAX_DIGIT}",
             decomp.base() / 2
         );
-        let c = p.coeffs();
-        self.fold_into(out, self.int_frac_bits, |j| {
-            decomp.digit(decomp.shift(c[j]), level) as i64
-        });
+        let src = FoldInput::Digits(p.coeffs(), decomp, level);
+        self.fold_into(out, src, self.int_frac_bits);
         self.dft_forward(&mut out.re, &mut out.im);
     }
 
@@ -355,24 +370,15 @@ impl FftEngine for ApproxIntFft {
         let m = self.n / 2;
         assert_eq!(s.re.len(), m, "spectrum size mismatch");
         assert_eq!(out.len(), self.n, "output polynomial length mismatch");
-        scratch.re.clone_from(&s.re);
-        scratch.im.clone_from(&s.im);
+        // The working copy is written in bit-reversed order: the copy and
+        // the permutation are one pass.
+        scratch.re.resize(m, 0);
+        scratch.im.resize(m, 0);
+        bit_reverse_copy_pair(&s.re, &s.im, &mut scratch.re, &mut scratch.im);
         self.dft_inverse_halving(&mut scratch.re, &mut scratch.im);
-        let frac = s.frac_bits;
-        let descale = |v: i64| -> i64 {
-            if frac == 0 {
-                v
-            } else {
-                (v + (1 << (frac - 1))) >> frac
-            }
-        };
-        let coeffs = out.coeffs_mut();
-        for j in 0..m {
-            let (x, y) = self.untwist[j].apply(scratch.re[j], scratch.im[j]);
-            // Two's-complement truncation is the exact reduction mod 2^32.
-            coeffs[j] = Torus32::from_raw(descale(x) as u32);
-            coeffs[j + m] = Torus32::from_raw(descale(y) as u32);
-        }
+        // Two's-complement truncation is the exact reduction mod 2^32.
+        let spec = (&scratch.re[..], &scratch.im[..]);
+        simd::i64_unfold(spec, self.inv.twist(), s.frac_bits, out.coeffs_mut());
     }
 
     fn mul_accumulate(&self, acc: &mut FixedSpectrum, a: &FixedSpectrum, b: &FixedSpectrum) {
@@ -384,48 +390,12 @@ impl FftEngine for ApproxIntFft {
             shift > 0,
             "at least one operand must be an integer-side spectrum"
         );
-        let round = 1i128 << (shift - 1);
-        for k in 0..acc.re.len() {
-            let (ar, ai) = (a.re[k] as i128, a.im[k] as i128);
-            let (br, bi) = (b.re[k] as i128, b.im[k] as i128);
-            let pr = ar * br - ai * bi;
-            let pi = ar * bi + ai * br;
-            acc.re[k] += ((pr + round) >> shift) as i64;
-            acc.im[k] += ((pi + round) >> shift) as i64;
-        }
-    }
-
-    fn mul_accumulate_pair(
-        &self,
-        acc_a: &mut FixedSpectrum,
-        acc_b: &mut FixedSpectrum,
-        x: &FixedSpectrum,
-        a: &FixedSpectrum,
-        b: &FixedSpectrum,
-    ) {
-        let m = x.re.len();
-        assert_eq!(acc_a.re.len(), m, "spectrum size mismatch");
-        assert_eq!(acc_b.re.len(), m, "spectrum size mismatch");
-        assert_eq!(a.re.len(), m, "spectrum size mismatch");
-        assert_eq!(b.re.len(), m, "spectrum size mismatch");
-        assert_eq!(acc_a.frac_bits, 0, "accumulator must be unscaled");
-        assert_eq!(acc_b.frac_bits, 0, "accumulator must be unscaled");
-        assert_eq!(a.frac_bits, b.frac_bits, "row spectra must share a scale");
-        let shift = x.frac_bits + a.frac_bits;
-        assert!(
-            shift > 0,
-            "at least one operand must be an integer-side spectrum"
+        simd::i64_mul_acc(
+            (&mut acc.re, &mut acc.im),
+            (&a.re, &a.im),
+            (&b.re, &b.im),
+            shift,
         );
-        let round = 1i128 << (shift - 1);
-        for k in 0..m {
-            let (xr, xi) = (x.re[k] as i128, x.im[k] as i128);
-            let (ar, ai) = (a.re[k] as i128, a.im[k] as i128);
-            acc_a.re[k] += ((xr * ar - xi * ai + round) >> shift) as i64;
-            acc_a.im[k] += ((xr * ai + xi * ar + round) >> shift) as i64;
-            let (br, bi) = (b.re[k] as i128, b.im[k] as i128);
-            acc_b.re[k] += ((xr * br - xi * bi + round) >> shift) as i64;
-            acc_b.im[k] += ((xr * bi + xi * br + round) >> shift) as i64;
-        }
     }
 
     fn add_assign(&self, acc: &mut FixedSpectrum, a: &FixedSpectrum) {
@@ -441,20 +411,20 @@ impl FftEngine for ApproxIntFft {
     /// so its components fit the 32-bit integer multipliers of MATCHA's
     /// TGSW clusters (§4.3) — the FFT butterflies stay multiplication-less,
     /// but TGSW scaling legitimately uses the cluster's multipliers.
-    fn monomial_minus_one_into(&self, exponent: i64, out: &mut Vec<(i32, i32)>) {
+    fn monomial_minus_one_into(&self, exponent: i64, out: &mut FixedFactors) {
         let m = self.n / 2;
         let base = std::f64::consts::PI / self.n as f64;
         let e = exponent.rem_euclid(2 * self.n as i64) as f64;
         let quant = (1i64 << MONO_FRAC_BITS) as f64;
         let step = crate::cplx::Cplx::from_angle(4.0 * base * e);
         let mut cur = crate::cplx::Cplx::from_angle(base * e);
-        out.clear();
-        out.reserve(m);
+        out.re.clear();
+        out.im.clear();
+        out.re.reserve(m);
+        out.im.reserve(m);
         for _ in 0..m {
-            out.push((
-                ((cur.re - 1.0) * quant).round() as i32,
-                (cur.im * quant).round() as i32,
-            ));
+            out.re.push(((cur.re - 1.0) * quant).round() as i32);
+            out.im.push((cur.im * quant).round() as i32);
             cur *= step;
         }
     }
@@ -463,59 +433,21 @@ impl FftEngine for ApproxIntFft {
         &self,
         acc: &mut FixedSpectrum,
         src: &FixedSpectrum,
-        factors: &Vec<(i32, i32)>,
+        factors: &FixedFactors,
     ) {
         assert_eq!(acc.re.len(), src.re.len(), "spectrum size mismatch");
-        assert_eq!(acc.re.len(), factors.len(), "factor table size mismatch");
+        assert_eq!(acc.re.len(), factors.re.len(), "factor table size mismatch");
         assert_eq!(
             acc.frac_bits + BUNDLE_DROP_BITS,
             src.frac_bits,
             "accumulator must come from bundle_accumulator"
         );
-        let shift = MONO_FRAC_BITS + BUNDLE_DROP_BITS;
-        let round = 1i128 << (shift - 1);
-        for (k, &(fr32, fi32)) in factors.iter().enumerate() {
-            let (ar, ai) = (fr32 as i128, fi32 as i128);
-            let (sr, si) = (src.re[k] as i128, src.im[k] as i128);
-            acc.re[k] += ((sr * ar - si * ai + round) >> shift) as i64;
-            acc.im[k] += ((sr * ai + si * ar + round) >> shift) as i64;
-        }
-    }
-
-    fn scale_accumulate_pair(
-        &self,
-        acc_a: &mut FixedSpectrum,
-        acc_b: &mut FixedSpectrum,
-        src_a: &FixedSpectrum,
-        src_b: &FixedSpectrum,
-        factors: &Vec<(i32, i32)>,
-    ) {
-        let m = factors.len();
-        assert_eq!(acc_a.re.len(), m, "spectrum size mismatch");
-        assert_eq!(acc_b.re.len(), m, "spectrum size mismatch");
-        assert_eq!(src_a.re.len(), m, "spectrum size mismatch");
-        assert_eq!(src_b.re.len(), m, "spectrum size mismatch");
-        assert_eq!(
-            acc_a.frac_bits + BUNDLE_DROP_BITS,
-            src_a.frac_bits,
-            "accumulator must come from bundle_accumulator"
+        simd::i64_scale_acc(
+            (&mut acc.re, &mut acc.im),
+            (&src.re, &src.im),
+            (&factors.re, &factors.im),
+            MONO_FRAC_BITS + BUNDLE_DROP_BITS,
         );
-        assert_eq!(
-            acc_b.frac_bits + BUNDLE_DROP_BITS,
-            src_b.frac_bits,
-            "accumulator must come from bundle_accumulator"
-        );
-        let shift = MONO_FRAC_BITS + BUNDLE_DROP_BITS;
-        let round = 1i128 << (shift - 1);
-        for (k, &(fr32, fi32)) in factors.iter().enumerate() {
-            let (fr, fi) = (fr32 as i128, fi32 as i128);
-            let (ar, ai) = (src_a.re[k] as i128, src_a.im[k] as i128);
-            acc_a.re[k] += ((ar * fr - ai * fi + round) >> shift) as i64;
-            acc_a.im[k] += ((ar * fi + ai * fr + round) >> shift) as i64;
-            let (br, bi) = (src_b.re[k] as i128, src_b.im[k] as i128);
-            acc_b.re[k] += ((br * fr - bi * fi + round) >> shift) as i64;
-            acc_b.im[k] += ((br * fi + bi * fr + round) >> shift) as i64;
-        }
     }
 
     fn bundle_accumulator_into(&self, from: &FixedSpectrum, out: &mut FixedSpectrum) {
@@ -537,6 +469,7 @@ impl FftEngine for ApproxIntFft {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use matcha_math::Torus32;
 
     fn random_torus_poly(n: usize, seed: u32) -> TorusPolynomial {
         TorusPolynomial::from_coeffs(

@@ -23,8 +23,9 @@
 //!
 //! Every in-tree engine stores spectra split-complex and executes its
 //! butterfly stages and pointwise accumulates through the [`crate::simd`]
-//! kernels, which runtime-detect AVX2+FMA and fall back to an
-//! order-preserving scalar leg elsewhere. Generic callers (the external
+//! kernels, which runtime-detect AVX2+FMA (double-precision engines) or
+//! AVX-512F (integer engine) and fall back to a scalar leg elsewhere.
+//! Generic callers (the external
 //! product, bootstrapping) pick the vectorized kernels up for free through
 //! this trait — nothing SIMD-specific leaks into the API.
 

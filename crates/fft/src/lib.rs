@@ -26,7 +26,8 @@
 //!
 //! All four engines store spectra *split-complex* (separate `re[]`/`im[]`
 //! arrays) and run their butterfly stages and pointwise accumulates through
-//! the [`simd`] kernels, which use AVX2+FMA when the CPU supports it
+//! the [`simd`] kernels, which use AVX2+FMA for the double-precision engines
+//! and AVX-512F for the integer engine when the CPU supports them
 //! (runtime-detected; `MATCHA_SIMD=0` or [`force_simd`] pin the scalar leg).
 //!
 //! # Examples
@@ -69,5 +70,5 @@ pub use error::{fft_roundtrip_error_db, poly_mul_error_db};
 pub use lifting::{DyadicCoeff, LiftingRotation};
 pub use radix4::Radix4Fft;
 pub use ref_fft::{CplxSpectrum, F64Fft, SplitFactors};
-pub use simd::{force_simd, simd_active, simd_detected};
+pub use simd::{avx512_detected, force_simd, simd_active, simd_detected};
 pub use tables::{StageTwiddles, TwiddleTables};

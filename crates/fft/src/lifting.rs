@@ -81,8 +81,7 @@ impl DyadicCoeff {
     /// shift-add form, software uses this faster equivalent.
     #[inline]
     pub fn apply(self, x: i64) -> i64 {
-        let prod = x as i128 * self.alpha as i128;
-        round_shift(prod, self.beta)
+        mul_round(x, self.alpha, self.beta)
     }
 
     /// `round(x · α/2^β)` computed with additions and binary shifts only —
@@ -107,6 +106,28 @@ impl DyadicCoeff {
 #[inline]
 fn round_shift(v: i128, beta: u32) -> i64 {
     ((v + (1i128 << (beta - 1))) >> beta) as i64
+}
+
+/// `⌊(y·α + 2^(β−1)) / 2^β⌋` truncated to 64 bits — one lifting-step
+/// scaling with the product taken exactly in 128 bits. The AVX-512 kernels
+/// in [`crate::simd`] reproduce it bit for bit.
+#[inline]
+pub(crate) fn mul_round(y: i64, alpha: i64, beta: u32) -> i64 {
+    round_shift(y as i128 * alpha as i128, beta)
+}
+
+/// One branch-free three-step lifting rotation from structure-of-arrays
+/// coefficients: numerators `t`, `s` at `β` fractional bits and a negation
+/// mask `neg ∈ {0, −1}`. Identity (`t = s = neg = 0`) and negation
+/// (`t = s = 0`, `neg = −1`) run the same steps, since `mul_round(y, 0, β)`
+/// is exactly 0. Bit-identical to [`LiftingRotation::apply`] on the
+/// coefficients [`LiftingRotation::lifting_coeffs`] reports.
+#[inline]
+pub(crate) fn lift(x: i64, y: i64, t: i64, s: i64, neg: i64, beta: u32) -> (i64, i64) {
+    let x = x + mul_round(y, t, beta);
+    let y = y + mul_round(x, s, beta);
+    let x = x + mul_round(y, t, beta);
+    ((x ^ neg) - neg, (y ^ neg) - neg)
 }
 
 /// How a rotation is realized after angle reduction.
@@ -212,6 +233,17 @@ impl LiftingRotation {
                     (x, y)
                 }
             }
+        }
+    }
+
+    /// The rotation as structure-of-arrays coefficients `(t, s, neg)` for
+    /// [`lift`]: the two dyadic numerators (0 for identity and negation)
+    /// and the negation mask (`−1` or `0`).
+    pub(crate) fn lifting_coeffs(self) -> (i64, i64, i64) {
+        match self.kind {
+            RotationKind::Identity => (0, 0, 0),
+            RotationKind::Negation => (0, 0, -1),
+            RotationKind::Lifting { t, s, negate } => (t.alpha(), s.alpha(), -i64::from(negate)),
         }
     }
 
@@ -326,6 +358,24 @@ mod tests {
         let ex = ((1 << 20) as f64 * 1f64.cos()) as i64;
         let ey = ((1 << 20) as f64 * 1f64.sin()) as i64;
         assert!((x - ex).abs() < (1 << 17) && (y - ey).abs() < (1 << 17));
+    }
+
+    #[test]
+    fn branch_free_lift_matches_apply() {
+        let beta = 38;
+        let points = [
+            (1i64 << 40, -(1i64 << 39)),
+            (-7, 9),
+            (0, 0),
+            (i64::MAX >> 3, i64::MIN >> 3),
+        ];
+        for theta in [0.0, PI, -PI, FRAC_PI_2, 2.5, -1.0, TAU * 3.0 / 8.0] {
+            let rot = LiftingRotation::from_angle(theta, beta);
+            let (t, s, neg) = rot.lifting_coeffs();
+            for &(x, y) in &points {
+                assert_eq!(lift(x, y, t, s, neg, beta), rot.apply(x, y), "θ={theta}");
+            }
+        }
     }
 
     #[test]

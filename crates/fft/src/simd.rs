@@ -31,15 +31,27 @@
 //!
 //! # Integer (i64) kernels
 //!
-//! The integer engine's butterfly stages are routed through this module
-//! too ([`i64_radix2_stage`], [`i64_radix2_stage_halving`]) but have no
-//! vector leg: each lifting step needs a 64×64→128-bit multiply with a
-//! rounding arithmetic shift, and AVX2 offers neither 64-bit lane
-//! multiplies nor 64-bit arithmetic shifts (both arrive with AVX-512).
-//! The shared scalar kernels keep the four engines structurally uniform
-//! and give the autovectorizer the same unit-stride shape.
+//! MATCHA's integer engine ([`crate::ApproxIntFft`]) runs its lifting
+//! butterflies, twist folds, untwist-and-descale tail and 128-bit pointwise
+//! and TGSW-scale accumulates through the kernels of the `int` submodule.
+//! Each lifting step and each pointwise product needs an exact
+//! 64×64→128-bit multiply with a rounding shift. AVX2 offers neither 64-bit
+//! lane multiplies nor 64-bit arithmetic shifts, so the integer vector leg
+//! is AVX-512F (eight `i64` lanes): it builds every 128-bit product from
+//! four 32×32→64 limb products, corrects the high word for signs, adds the
+//! rounding constant with an explicit carry and recombines with shifts.
+//! Unlike the f64 kernels it is **bit-identical** to its scalar leg, so the
+//! flag changes no ciphertext and no noise. It runs when [`simd_active`]
+//! holds and the CPU reports AVX-512F ([`avx512_detected`]); `MATCHA_SIMD=0`
+//! and [`force_simd`] pin the scalar leg exactly as for the f64 kernels.
 
-use crate::lifting::LiftingRotation;
+mod int;
+
+pub use int::avx512_detected;
+pub(crate) use int::{
+    i64_fold, i64_mul_acc, i64_radix2_stage, i64_scale_acc, i64_unfold, FoldInput, Lifts,
+};
+
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Explicit override state: 0 = auto, 1 = forced scalar, 2 = forced SIMD
@@ -837,62 +849,6 @@ unsafe fn twist_apply_avx(re: &mut [f64], im: &mut [f64], twre: &[f64], twim: &[
     // Transform sizes are powers of two, and the dispatcher only takes this
     // leg for m ≥ 4, so the whole buffer vectorized.
     debug_assert_eq!(k, m);
-}
-
-// ---------------------------------------------------------------------------
-// i64 kernels (integer engine)
-// ---------------------------------------------------------------------------
-
-/// One radix-2 butterfly stage of the integer engine: the stage's lifting
-/// rotations applied with unit stride, then `u ± v`. Scalar only — the
-/// lifting steps need 64×64→128-bit multiplies with rounding arithmetic
-/// shifts, which AVX2 cannot express (see the module docs).
-pub fn i64_radix2_stage(re: &mut [i64], im: &mut [i64], rots: &[LiftingRotation], len: usize) {
-    let m = re.len();
-    let half = len / 2;
-    assert_eq!(im.len(), m, "component length mismatch");
-    assert_eq!(rots.len(), half, "rotation table length mismatch");
-    for start in (0..m).step_by(len) {
-        for (k, &rot) in rots.iter().enumerate() {
-            let (vr, vi) = rot.apply(re[start + half + k], im[start + half + k]);
-            let (ur, ui) = (re[start + k], im[start + k]);
-            re[start + k] = ur + vr;
-            im[start + k] = ui + vi;
-            re[start + half + k] = ur - vr;
-            im[start + half + k] = ui - vi;
-        }
-    }
-}
-
-/// [`i64_radix2_stage`] with a round-half-up halving of every output —
-/// `log2(M)` of these realize the `1/M` inverse normalization without a
-/// multiplier.
-pub fn i64_radix2_stage_halving(
-    re: &mut [i64],
-    im: &mut [i64],
-    rots: &[LiftingRotation],
-    len: usize,
-) {
-    let m = re.len();
-    let half = len / 2;
-    assert_eq!(im.len(), m, "component length mismatch");
-    assert_eq!(rots.len(), half, "rotation table length mismatch");
-    for start in (0..m).step_by(len) {
-        for (k, &rot) in rots.iter().enumerate() {
-            let (vr, vi) = rot.apply(re[start + half + k], im[start + half + k]);
-            let (ur, ui) = (re[start + k], im[start + k]);
-            re[start + k] = half_round(ur + vr);
-            im[start + k] = half_round(ui + vi);
-            re[start + half + k] = half_round(ur - vr);
-            im[start + half + k] = half_round(ui - vi);
-        }
-    }
-}
-
-/// Round-half-up division by two.
-#[inline]
-pub(crate) fn half_round(v: i64) -> i64 {
-    (v + 1) >> 1
 }
 
 #[cfg(test)]

@@ -241,9 +241,48 @@ pub fn bit_reverse_permute_pair<T, U>(a: &mut [T], b: &mut [U]) {
     }
 }
 
+/// Out-of-place [`bit_reverse_permute_pair`]: `dst[rev(i)] = src[i]` for
+/// both components, so copying a buffer and permuting it take one pass.
+///
+/// # Panics
+///
+/// Panics if the four slices differ in length.
+pub(crate) fn bit_reverse_copy_pair<T: Copy>(
+    src_a: &[T],
+    src_b: &[T],
+    dst_a: &mut [T],
+    dst_b: &mut [T],
+) {
+    let n = src_a.len();
+    assert!(
+        src_b.len() == n && dst_a.len() == n && dst_b.len() == n,
+        "component length mismatch"
+    );
+    debug_assert!(n.is_power_of_two());
+    let shift = (n.leading_zeros() + 1) % usize::BITS;
+    for i in 0..n {
+        let j = i.reverse_bits() >> shift;
+        dst_a[j] = src_a[i];
+        dst_b[j] = src_b[i];
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bit_reverse_copy_matches_in_place() {
+        for n in [1usize, 2, 8, 64] {
+            let a: Vec<i64> = (0..n as i64).map(|i| 3 * i - 7).collect();
+            let b: Vec<i64> = (0..n as i64).map(|i| -i * i).collect();
+            let (mut pa, mut pb) = (a.clone(), b.clone());
+            bit_reverse_permute_pair(&mut pa, &mut pb);
+            let (mut ca, mut cb) = (vec![0; n], vec![0; n]);
+            bit_reverse_copy_pair(&a, &b, &mut ca, &mut cb);
+            assert_eq!((ca, cb), (pa, pb), "n={n}");
+        }
+    }
 
     #[test]
     fn roots_are_on_unit_circle() {

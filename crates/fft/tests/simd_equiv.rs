@@ -2,9 +2,10 @@
 //!
 //! The kernel legs in `matcha_fft::simd` must agree:
 //!
-//! * **bit-identical** where the operation order is preserved — the integer
-//!   engine (scalar kernels on both legs), and the fused pair kernels
-//!   against two single calls *within* one leg;
+//! * **bit-identical** where the arithmetic is exact — the integer engine,
+//!   whose AVX-512F leg rebuilds every 128-bit product from 32-bit limbs
+//!   (`approx_kernels_equiv` sweeps it method by method), and the fused
+//!   pair kernels against two single calls *within* one leg;
 //! * **bounded-ulp** where the vector leg contracts `a·b ± c·d` into FMAs —
 //!   the three double-precision engines, compared here through exact
 //!   backward-transformed torus coefficients with a tolerance far below
@@ -124,16 +125,20 @@ fn radix4_simd_matches_scalar() {
 
 #[test]
 fn approx_simd_leg_is_bit_identical() {
-    // The integer engine's kernels are scalar on both legs (no 64-bit lane
-    // multiply in AVX2), so the flag must change *nothing*.
+    // The integer engine's vector leg (AVX-512F, where detected) computes
+    // every rounding exactly as the scalar i128 leg does, so the whole
+    // external-product-shaped pipeline must not change by a single bit —
+    // at the paper's size and twiddle width as well as off it.
     let _g = ForceGuard::lock();
-    let engine = ApproxIntFft::new(256, 45);
-    force_simd(Some(false));
-    let (sa, sb) = pipeline(&engine, 41);
-    force_simd(Some(true));
-    let (va, vb) = pipeline(&engine, 41);
-    assert_eq!(sa, va);
-    assert_eq!(sb, vb);
+    for (n, bits, seed) in [(1024, 38, 41), (256, 45, 42), (16, 24, 43)] {
+        let engine = ApproxIntFft::new(n, bits);
+        force_simd(Some(false));
+        let (sa, sb) = pipeline(&engine, seed);
+        force_simd(Some(true));
+        let (va, vb) = pipeline(&engine, seed);
+        assert_eq!(sa, va, "N={n} β={bits}: external product");
+        assert_eq!(sb, vb, "N={n} β={bits}: bundle");
+    }
 }
 
 #[test]

@@ -23,7 +23,12 @@ use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 /// assert_eq!(half + half, Torus32::ZERO); // 1 ≡ 0 (mod 1)
 /// assert_eq!(half * 3, half);             // 1.5 ≡ 0.5 (mod 1)
 /// ```
+///
+/// The layout is guaranteed to be that of its raw `u32`
+/// (`#[repr(transparent)]`), which is what lets
+/// [`Torus32::as_raw_slice`] hand vector kernels packed `u32` lanes.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[repr(transparent)]
 pub struct Torus32(u32);
 
 impl Torus32 {
@@ -42,6 +47,24 @@ impl Torus32 {
     #[inline]
     pub const fn raw(self) -> u32 {
         self.0
+    }
+
+    /// Views torus elements as their raw `2^32`-scaled representations,
+    /// without copying.
+    #[inline]
+    pub fn as_raw_slice(s: &[Torus32]) -> &[u32] {
+        // SAFETY: `Torus32` is `repr(transparent)` over `u32`, so both slices
+        // have the same element size, alignment and bit validity.
+        unsafe { std::slice::from_raw_parts(s.as_ptr().cast::<u32>(), s.len()) }
+    }
+
+    /// Mutable [`Torus32::as_raw_slice`]: every `u32` is a valid torus
+    /// element, so writes through the view cannot break an invariant.
+    #[inline]
+    pub fn as_raw_slice_mut(s: &mut [Torus32]) -> &mut [u32] {
+        // SAFETY: as in `as_raw_slice`; the exclusive borrow of `s` is
+        // moved into the returned view.
+        unsafe { std::slice::from_raw_parts_mut(s.as_mut_ptr().cast::<u32>(), s.len()) }
     }
 
     /// Creates the torus element `x mod 1` from a real number.
@@ -214,6 +237,14 @@ impl From<Torus32> for u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn raw_slice_views_alias_the_elements() {
+        let mut xs = [Torus32::from_raw(7), Torus32::HALF, Torus32::ZERO];
+        assert_eq!(Torus32::as_raw_slice(&xs), &[7, 1 << 31, 0]);
+        Torus32::as_raw_slice_mut(&mut xs)[2] = 0xffff_ffff;
+        assert_eq!(xs[2], Torus32::from_raw(0xffff_ffff));
+    }
 
     #[test]
     fn roundtrip_f64() {

@@ -135,8 +135,15 @@ fn assert_zero_alloc_bootstrap<E>(engine: &E, unroll: usize, seed: u64)
 where
     E: matcha_fft::FftEngine,
 {
+    assert_zero_alloc_bootstrap_at(engine, ParameterSet::TEST_FAST, unroll, seed);
+}
+
+fn assert_zero_alloc_bootstrap_at<E>(engine: &E, params: ParameterSet, unroll: usize, seed: u64)
+where
+    E: matcha_fft::FftEngine,
+{
     let mut rng = StdRng::seed_from_u64(seed);
-    let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
+    let client = ClientKey::generate(params, &mut rng);
     let kit = BootstrapKit::generate(&client, engine, unroll, &mut rng);
     let mu = Torus32::from_f64(0.125);
     let c = client.encrypt_with(true, &mut rng);
@@ -170,6 +177,15 @@ fn warmed_bootstrap_allocates_nothing_f64_m3() {
 #[test]
 fn warmed_bootstrap_allocates_nothing_approx_m2() {
     assert_zero_alloc_bootstrap(&ApproxIntFft::new(256, 45), 2, 75);
+}
+
+/// The paper's engine at the paper's size (N = 1024, 38-bit twiddles, MATCHA
+/// parameters), on whichever kernel leg is active: the AVX-512F folds,
+/// bit-reversing backward copy and factor tables must reuse their buffers
+/// like the scalar leg does.
+#[test]
+fn warmed_bootstrap_allocates_nothing_approx_paper_size() {
+    assert_zero_alloc_bootstrap_at(&ApproxIntFft::new(1024, 38), ParameterSet::MATCHA, 2, 77);
 }
 
 #[test]
